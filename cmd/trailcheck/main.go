@@ -35,7 +35,7 @@ import (
 
 // version is the fingerprint go vet uses as its cache key; bump it whenever
 // analyzer behaviour changes so stale vet caches cannot hide new findings.
-const version = "trailcheck version 6"
+const version = "trailcheck version 7"
 
 func main() {
 	os.Exit(run())

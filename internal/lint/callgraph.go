@@ -76,6 +76,7 @@ type Program struct {
 	timeChains map[string][]string
 	randChains map[string][]string
 	sinkChains map[string][]string
+	loopChains map[string][]string
 }
 
 // A FuncInfo summarizes one function body: the edges it contributes to the
@@ -136,6 +137,11 @@ type FuncInfo struct {
 	// ProbeEmits records sim.Env.EmitProbe call sites with the probe-kind
 	// constant they pass ("ProbeAck", ...; "?" when not a named constant).
 	ProbeEmits []ProbeEmit
+
+	// LoopPos is the position of the body's first for/range statement
+	// (invalid when it has none), seeding the loop-reach closure nilguard
+	// uses to price instrument arguments.
+	LoopPos token.Pos
 
 	// spawnLitPos holds positions of function literals passed directly to
 	// a spawn API, resolved to SpawnArg marks once the walk completes.
@@ -511,6 +517,10 @@ func (prog *Program) summarize(fi *FuncInfo, body *ast.BlockStmt) {
 			prog.recordMutation(fi, n.X)
 		case *ast.CallExpr:
 			prog.recordCall(fi, n)
+		case *ast.ForStmt, *ast.RangeStmt:
+			if !fi.LoopPos.IsValid() {
+				fi.LoopPos = n.Pos()
+			}
 		}
 		return true
 	}

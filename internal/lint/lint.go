@@ -14,7 +14,8 @@
 //     layer wraps an error.
 //   - nilguard: the nil-is-disabled contract of trace.Tracer, span.Recorder
 //     and span.Req — every exported method nil-receiver safe, handles only
-//     installed through Set*/New* accessors, never dereferenced.
+//     installed through Set*/New* accessors, never dereferenced, and never
+//     handed an argument that reaches a loop outside an enabled-guard.
 //
 // The suite mirrors the golang.org/x/tools/go/analysis API shape (Analyzer,
 // Pass, Diagnostic, analysistest-style fixtures) but is built purely on the

@@ -1,9 +1,11 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"strings"
 )
 
@@ -24,10 +26,13 @@ import (
 // Set*/New* accessors — an unexported handle field assigned anywhere else
 // (say, nilling a tracer mid-run) would silently change behaviour between
 // two same-seed runs — and a handle is never dereferenced with *, because
-// nil is a legal, common value.
+// nil is a legal, common value. Disabled must also mean free: a method call
+// on a trace, telemetry or timeline handle whose arguments call a function
+// that reaches a loop (over the call graph) pays that walk even when the
+// handle is nil, so such a call must sit inside an `if h != nil` guard.
 var NilGuard = &Analyzer{
 	Name: "nilguard",
-	Doc:  "enforce the nil-is-disabled contract of trace.Tracer / span.Recorder handles",
+	Doc:  "enforce the nil-is-disabled contract of trace.Tracer / span.Recorder handles, including that a disabled handle never pays for its arguments",
 	Run:  runNilGuard,
 }
 
@@ -61,11 +66,166 @@ func runNilGuard(pass *Pass) error {
 	if !strings.HasPrefix(pass.Path, "tracklog") {
 		return nil
 	}
-	if names, ok := handleTypes[pass.Path]; ok {
+	names, home := handleTypes[pass.Path]
+	if home {
 		checkHomeMethods(pass, names)
 	}
 	checkConsumers(pass)
+	if !home {
+		checkCostlyArgs(pass)
+	}
 	return nil
+}
+
+// costlyArgHomes are the handle packages whose method calls sit on hot
+// paths with arguments evaluated eagerly (span handles take positions and
+// IDs, never computed summaries).
+var costlyArgHomes = map[string]bool{
+	"tracklog/internal/trace":     true,
+	"tracklog/internal/telemetry": true,
+	"tracklog/internal/timeline":  true,
+}
+
+// checkCostlyArgs flags handle method calls whose arguments call a function
+// that reaches a loop, unless an enclosing `if <handle> != nil` skips them
+// while the handle is disabled. Function-literal arguments are callbacks,
+// not evaluated at the call, and are not inspected.
+func checkCostlyArgs(pass *Pass) {
+	chains := pass.Prog.loopTaint()
+	for _, file := range pass.Files {
+		var stack []ast.Node
+		ast.Inspect(file, func(n ast.Node) bool {
+			if n == nil {
+				stack = stack[:len(stack)-1]
+				return false
+			}
+			stack = append(stack, n)
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+			if !ok || !isCostlyArgHandle(pass.typeOf(sel.X)) {
+				return true
+			}
+			if s, ok := pass.Info.Selections[sel]; !ok || s.Kind() != types.MethodVal {
+				return true
+			}
+			inner, chain := costlyArgCall(pass, call.Args, chains)
+			if inner == nil || enabledGuarded(pass, stack, sel.X, call.Pos()) {
+				return true
+			}
+			handle := types.ExprString(sel.X)
+			pass.Reportf(inner.Pos(),
+				"argument of %s.%s calls %s, which reaches a loop (%s) that runs even while the %s handle is nil; wrap the call in `if %s != nil { ... }`",
+				handle, sel.Sel.Name, types.ExprString(inner.Fun), renderChain(chain),
+				handleTypeName(pass.typeOf(sel.X)), handle)
+			return true
+		})
+	}
+}
+
+// isCostlyArgHandle reports whether t is a handle of a costlyArgHomes
+// package.
+func isCostlyArgHandle(t types.Type) bool {
+	name := handleTypeName(t)
+	if name == "" {
+		return false
+	}
+	named := t.(*types.Pointer).Elem().(*types.Named)
+	return costlyArgHomes[NormalizePath(named.Obj().Pkg().Path())]
+}
+
+// costlyArgCall returns the first call inside args (outside function
+// literals) whose callee reaches a loop, with its witness chain.
+func costlyArgCall(pass *Pass, args []ast.Expr, chains map[string][]string) (*ast.CallExpr, []string) {
+	var found *ast.CallExpr
+	var chain []string
+	for _, arg := range args {
+		ast.Inspect(arg, func(n ast.Node) bool {
+			if found != nil {
+				return false
+			}
+			switch n := n.(type) {
+			case *ast.FuncLit:
+				return false
+			case *ast.CallExpr:
+				if c := chains[FuncID(pass.calleeFunc(n))]; c != nil {
+					found, chain = n, c
+					return false
+				}
+			}
+			return true
+		})
+		if found != nil {
+			break
+		}
+	}
+	return found, chain
+}
+
+// enabledGuarded reports whether pos is skipped while the handle is nil:
+// it lies in the then-branch of an enclosing `if h != nil` (leftmost &&
+// operand), or follows an `if h == nil { return }` (leftmost || operand) in
+// an enclosing block, where h renders like the handle expression.
+func enabledGuarded(pass *Pass, stack []ast.Node, handle ast.Expr, pos token.Pos) bool {
+	want := types.ExprString(ast.Unparen(handle))
+	isHandle := func(e ast.Expr) bool { return types.ExprString(ast.Unparen(e)) == want }
+	for _, n := range stack {
+		switch n := n.(type) {
+		case *ast.IfStmt:
+			if pos >= n.Body.Pos() && pos <= n.Body.End() && leftmostNilTest(pass, n.Cond, token.NEQ, token.LAND, isHandle) {
+				return true
+			}
+		case *ast.BlockStmt:
+			for _, st := range n.List {
+				if st.End() > pos {
+					break
+				}
+				ifs, ok := st.(*ast.IfStmt)
+				if ok && ifs.Init == nil && leftmostNilTest(pass, ifs.Cond, token.EQL, token.LOR, isHandle) && blockTerminates(ifs.Body) {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// leftmostNilTest walks the leftmost spine of chainOp chains (&& or ||) in
+// cond and reports whether it bottoms out at `x <op> nil` (either operand
+// order) with match(x).
+func leftmostNilTest(pass *Pass, cond ast.Expr, op, chainOp token.Token, match func(ast.Expr) bool) bool {
+	for {
+		be, ok := ast.Unparen(cond).(*ast.BinaryExpr)
+		if !ok {
+			return false
+		}
+		if be.Op == chainOp {
+			cond = be.X
+			continue
+		}
+		if be.Op != op {
+			return false
+		}
+		return (match(be.X) && isNilExpr(pass, be.Y)) || (match(be.Y) && isNilExpr(pass, be.X))
+	}
+}
+
+// loopTaint seeds the caller-ward closure with every function whose own
+// body contains a loop.
+func (prog *Program) loopTaint() map[string][]string {
+	if prog.loopChains == nil {
+		seeds := make(map[string]string)
+		for id, fi := range prog.Funcs {
+			if fi.LoopPos.IsValid() {
+				pos := fi.Pkg.Fset.Position(fi.LoopPos)
+				seeds[id] = fmt.Sprintf("loop at %s:%d", filepath.Base(pos.Filename), pos.Line)
+			}
+		}
+		prog.loopChains = prog.taintCallers(seeds)
+	}
+	return prog.loopChains
 }
 
 // checkHomeMethods verifies nil-receiver safety of exported handle methods.
@@ -131,30 +291,11 @@ func hasLeadingNilGuard(pass *Pass, body *ast.BlockStmt, recv *ast.Ident) bool {
 	if !ok || ifs.Init != nil {
 		return false
 	}
-	if !leftmostIsRecvNil(pass, ifs.Cond, recv, token.EQL, token.LOR) {
+	isRecv := func(e ast.Expr) bool { return isRecvIdent(pass, e, recv) }
+	if !leftmostNilTest(pass, ifs.Cond, token.EQL, token.LOR, isRecv) {
 		return false
 	}
 	return blockTerminates(ifs.Body)
-}
-
-// leftmostIsRecvNil walks the leftmost spine of or/and chains (chainOp) and
-// reports whether it bottoms out at `recv <op> nil`.
-func leftmostIsRecvNil(pass *Pass, cond ast.Expr, recv *ast.Ident, op, chainOp token.Token) bool {
-	for {
-		be, ok := ast.Unparen(cond).(*ast.BinaryExpr)
-		if !ok {
-			return false
-		}
-		if be.Op == chainOp {
-			cond = be.X
-			continue
-		}
-		if be.Op != op {
-			return false
-		}
-		return (isRecvIdent(pass, be.X, recv) && isNilExpr(pass, be.Y)) ||
-			(isRecvIdent(pass, be.Y, recv) && isNilExpr(pass, be.X))
-	}
 }
 
 func isRecvIdent(pass *Pass, e ast.Expr, recv *ast.Ident) bool {
@@ -229,7 +370,7 @@ func guardedByStack(pass *Pass, stack []ast.Node, recv *ast.Ident) bool {
 		if !ok {
 			continue
 		}
-		if leftmostIsRecvNil(pass, ifs.Cond, recv, token.NEQ, token.LAND) {
+		if leftmostNilTest(pass, ifs.Cond, token.NEQ, token.LAND, func(e ast.Expr) bool { return isRecvIdent(pass, e, recv) }) {
 			return true
 		}
 	}

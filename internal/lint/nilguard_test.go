@@ -21,3 +21,7 @@ func TestNilGuardHomeTelemetry(t *testing.T) {
 func TestNilGuardHomeTimeline(t *testing.T) {
 	RunFixture(t, "testdata/src/tracklog/internal/timeline", NilGuard)
 }
+
+func TestNilGuardCostlyArgs(t *testing.T) {
+	RunFixture(t, "testdata/src/tracklog/internal/nilcost", NilGuard)
+}

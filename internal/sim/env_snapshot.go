@@ -28,14 +28,9 @@ func (e *Env) Snapshot() []byte {
 	w.I64(e.probeSeq)
 	w.Int(e.liveQueued)
 
-	entries := make([]*queued, len(e.queue))
+	entries := make([]queued, len(e.queue))
 	copy(entries, e.queue)
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].at != entries[j].at {
-			return entries[i].at < entries[j].at
-		}
-		return entries[i].seq < entries[j].seq
-	})
+	sort.Slice(entries, func(i, j int) bool { return entries[i].before(&entries[j]) })
 	w.U32(uint32(len(entries)))
 	for _, q := range entries {
 		w.I64(int64(q.at))

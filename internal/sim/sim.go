@@ -11,7 +11,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 
@@ -226,9 +225,9 @@ func (e *Env) schedule(t Time, p *Proc) {
 		t = e.now
 	}
 	e.seq++
-	heap.Push(&e.queue, &queued{at: t, seq: e.seq, proc: p})
+	e.queue.push(queued{at: t, seq: e.seq, proc: p})
 	e.kstats.HeapPushes++
-	if n := e.queue.Len(); n > e.kstats.QueuePeak {
+	if n := len(e.queue); n > e.kstats.QueuePeak {
 		e.kstats.QueuePeak = n
 	}
 	p.state = procReady
@@ -279,13 +278,12 @@ func (e *Env) RunUntil(deadline Time) Time {
 			return e.now
 		}
 	}
-	for e.queue.Len() > 0 && e.liveQueued > 0 {
-		next := e.queue[0]
-		if next.at > deadline {
+	for len(e.queue) > 0 && e.liveQueued > 0 {
+		if e.queue[0].at > deadline {
 			e.now = deadline
 			return e.now
 		}
-		heap.Pop(&e.queue)
+		next := e.queue.pop()
 		e.kstats.HeapPops++
 		if !next.proc.daemon {
 			e.liveQueued--
@@ -295,7 +293,7 @@ func (e *Env) RunUntil(deadline Time) Time {
 		}
 		e.now = next.at
 		e.kstats.EventsDispatched++
-		e.mDispatchDepth.Observe(float64(e.queue.Len() + 1))
+		e.mDispatchDepth.Observe(float64(len(e.queue) + 1))
 		e.tlDispatch.Inc(int64(e.now))
 		e.step(next.proc)
 		if e.kernelPanic != nil {
@@ -398,23 +396,55 @@ type queued struct {
 	proc *Proc
 }
 
-// eventQueue is a min-heap on (at, seq).
-type eventQueue []*queued
+// eventQueue is a binary min-heap on (at, seq), kept by value so pushing
+// an event allocates nothing once the backing array has grown.
+type eventQueue []queued
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// before reports whether a is dispatched ahead of b.
+func (a *queued) before(b *queued) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return q[i].seq < q[j].seq
+	return a.seq < b.seq
 }
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*queued)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return it
+
+// push adds it to the heap.
+func (q *eventQueue) push(it queued) {
+	h := append(*q, it)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h[i].before(&h[parent]) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+	*q = h
+}
+
+// pop removes and returns the earliest entry; the heap must be non-empty.
+func (q *eventQueue) pop() queued {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h[n] = queued{} // drop the *Proc reference
+	h = h[:n]
+	for i := 0; ; {
+		least := i
+		if l := 2*i + 1; l < n && h[l].before(&h[least]) {
+			least = l
+		}
+		if r := 2*i + 2; r < n && h[r].before(&h[least]) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+	*q = h
+	return top
 }

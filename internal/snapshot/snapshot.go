@@ -129,20 +129,32 @@ type Reader struct {
 // component kind and version. It returns ErrCorrupt for malformed bytes and
 // ErrMismatch for a well-formed snapshot of another kind or version.
 func NewReader(data []byte, kind string, version uint16) (*Reader, error) {
+	r, _, err := NewReaderVersions(data, kind, version, version)
+	return r, err
+}
+
+// NewReaderVersions is NewReader for a codec that still decodes older
+// format versions: it accepts any version in [oldest, newest] and returns
+// the one found, so the decoder can branch on it.
+func NewReaderVersions(data []byte, kind string, oldest, newest uint16) (*Reader, uint16, error) {
 	r := &Reader{buf: data}
 	if r.U32() != magic {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+		return nil, 0, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	gotKind := r.StringVal()
 	gotVer := r.U16()
 	if r.err != nil {
-		return nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
+		return nil, 0, fmt.Errorf("%w: truncated header", ErrCorrupt)
 	}
-	if gotKind != kind || gotVer != version {
-		return nil, fmt.Errorf("%w: snapshot of %q v%d, want %q v%d",
-			ErrMismatch, gotKind, gotVer, kind, version)
+	if gotKind != kind || gotVer < oldest || gotVer > newest {
+		want := fmt.Sprintf("v%d", newest)
+		if oldest != newest {
+			want = fmt.Sprintf("v%d..v%d", oldest, newest)
+		}
+		return nil, 0, fmt.Errorf("%w: snapshot of %q v%d, want %q %s",
+			ErrMismatch, gotKind, gotVer, kind, want)
 	}
-	return r, nil
+	return r, gotVer, nil
 }
 
 // fail records the first decode error.

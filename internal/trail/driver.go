@@ -3,6 +3,7 @@ package trail
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"time"
 
 	"tracklog/internal/blockdev"
@@ -300,8 +301,16 @@ type Driver struct {
 	logQCond *sim.Cond
 
 	// Record and staging bookkeeping.
-	seq          uint64
-	staging      map[bufKey]*bufEntry
+	seq     uint64
+	staging map[bufKey]*bufEntry
+	// stagedBytes (memory pinned by staging) and liveRecords (records not
+	// yet fully committed) are maintained where the state changes, so the
+	// per-write, per-completion and throttle paths never scan the backlog;
+	// CheckInvariants audits both against full scans. stageSeq stamps each
+	// staged version in arrival order.
+	stagedBytes  int64
+	liveRecords  int
+	stageSeq     uint64
 	wbQueues     []*sim.Queue[bufKey]
 	allIdleCond  *sim.Cond
 	lastActivity sim.Time
@@ -526,17 +535,7 @@ func (d *Driver) DataQueue(idx int) *sched.Queue { return d.dataQueues[idx] }
 
 // OutstandingRecords returns the number of log records not yet fully
 // committed to the data disks.
-func (d *Driver) OutstandingRecords() int {
-	n := 0
-	for _, ld := range d.logs {
-		for _, r := range ld.outstanding {
-			if !r.done {
-				n++
-			}
-		}
-	}
-	return n
-}
+func (d *Driver) OutstandingRecords() int { return d.liveRecords }
 
 // Dev returns data disk idx as a block device.
 func (d *Driver) Dev(idx int) *DataDev {
@@ -757,23 +756,14 @@ func (d *Driver) read(p *sim.Proc, devIdx int, lba int64, count int, opts blockd
 		return nil, ErrClosed
 	}
 	opts.Deadline = d.cfg.QoS.Deadline(p.Now(), opts.Deadline)
-	if e, ok := d.staging[bufKey{dev: devIdx, lba: lba, count: count}]; ok {
+	// Served from staging when one staged extent contains the request;
+	// overlapping extents are overlaid oldest first, so the newest wins.
+	if hits, covered := d.stagedOverlaps(devIdx, lba, count); covered {
 		d.stats.ReadsFromStaging++
 		d.recordStagingHit(p, devIdx, lba, count)
 		out := make([]byte, count*geom.SectorSize)
-		copy(out, e.data)
+		overlayStaged(lba, count, out, hits)
 		return out, nil
-	}
-	// A larger staged extent may fully contain the request.
-	for k, e := range d.staging {
-		if k.dev == devIdx && k.lba <= lba && k.lba+int64(k.count) >= lba+int64(count) {
-			d.stats.ReadsFromStaging++
-			d.recordStagingHit(p, devIdx, lba, count)
-			off := (lba - k.lba) * geom.SectorSize
-			out := make([]byte, count*geom.SectorSize)
-			copy(out, e.data[off:])
-			return out, nil
-		}
 	}
 	var rq *span.Req
 	var cursor int64
@@ -791,7 +781,9 @@ func (d *Driver) read(p *sim.Proc, devIdx int, lba int64, count int, opts blockd
 		if req.Err == nil {
 			rq.Command(span.FromResult(&res, d.dataDisks[devIdx].Params().RotPeriod()))
 			rq.Finish(int64(res.End), false)
-			d.overlayStaged(devIdx, lba, count, req.Data)
+			// Staging may have changed while the read was queued.
+			hits, _ := d.stagedOverlaps(devIdx, lba, count)
+			overlayStaged(lba, count, req.Data, hits)
 			return req.Data, nil
 		}
 		if blockdev.IsExpired(req.Err) {
@@ -835,22 +827,40 @@ func (d *Driver) recordStagingHit(p *sim.Proc, devIdx int, lba int64, count int)
 	rq.Finish(now, false)
 }
 
-// overlayStaged copies any staged (newer) sectors overlapping [lba,
-// lba+count) of dev over buf.
-func (d *Driver) overlayStaged(devIdx int, lba int64, count int, buf []byte) {
+// stagedExtent is one staged buffer overlapping a read.
+type stagedExtent struct {
+	lba int64
+	e   *bufEntry
+}
+
+// stagedOverlaps returns the staged extents of dev overlapping [lba,
+// lba+count) in staging order (oldest stamp first), and whether one of them
+// alone contains the range.
+func (d *Driver) stagedOverlaps(devIdx int, lba int64, count int) (hits []stagedExtent, covered bool) {
 	end := lba + int64(count)
 	for k, e := range d.staging {
-		if k.dev != devIdx {
+		kEnd := k.lba + int64(k.count)
+		if k.dev != devIdx || k.lba >= end || kEnd <= lba {
 			continue
 		}
-		eEnd := k.lba + int64(e.count)
-		if k.lba >= end || eEnd <= lba {
-			continue
-		}
-		from := maxI64(k.lba, lba)
-		to := minI64(eEnd, end)
+		hits = append(hits, stagedExtent{lba: k.lba, e: e})
+		covered = covered || k.lba <= lba && kEnd >= end
+	}
+	if len(hits) > 1 {
+		sort.Slice(hits, func(i, j int) bool { return hits[i].e.stamp < hits[j].e.stamp })
+	}
+	return hits, covered
+}
+
+// overlayStaged copies the sectors of hits that fall inside [lba,
+// lba+count) over buf, in order, so later (newer) extents win.
+func overlayStaged(lba int64, count int, buf []byte, hits []stagedExtent) {
+	end := lba + int64(count)
+	for _, h := range hits {
+		from := maxI64(h.lba, lba)
+		to := minI64(h.lba+int64(h.e.count), end)
 		copy(buf[(from-lba)*geom.SectorSize:(to-lba)*geom.SectorSize],
-			e.data[(from-k.lba)*geom.SectorSize:(to-k.lba)*geom.SectorSize])
+			h.e.data[(from-h.lba)*geom.SectorSize:(to-h.lba)*geom.SectorSize])
 	}
 }
 
@@ -1247,6 +1257,7 @@ func (d *Driver) writeRecord(p *sim.Proc, ld *logDisk, target int, batch []*pend
 		blocks:    total,
 	}
 	ld.outstanding = append(ld.outstanding, rec)
+	d.liveRecords++
 	ld.busyCount[ld.posIdx]++
 	ld.lastRecordLBA = headerLBA
 	for s := target; s < target+1+total; s++ {

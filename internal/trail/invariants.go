@@ -19,7 +19,12 @@ import (
 //  4. Every staged buffer's record references point at records of this
 //     driver, and no fully committed record is still referenced.
 //  5. Committed counts never exceed block counts.
+//  6. The incrementally maintained counters behind StagedBytes and
+//     OutstandingRecords equal full scans of the state they summarize.
 func (d *Driver) CheckInvariants() error {
+	if err := d.checkCounters(); err != nil {
+		return err
+	}
 	type trackKey struct {
 		log, track int
 	}
@@ -70,4 +75,38 @@ func (d *Driver) CheckInvariants() error {
 		}
 	}
 	return nil
+}
+
+// checkCounters compares each incrementally maintained counter with its
+// scan oracle.
+func (d *Driver) checkCounters() error {
+	if got, want := d.stagedBytes, d.stagedBytesScan(); got != want {
+		return fmt.Errorf("trail: staged-bytes counter %d, staging holds %d bytes", got, want)
+	}
+	if got, want := d.liveRecords, d.outstandingScan(); got != want {
+		return fmt.Errorf("trail: live-record counter %d, log chains hold %d uncommitted records", got, want)
+	}
+	return nil
+}
+
+// stagedBytesScan is the O(staging) oracle for the stagedBytes counter.
+func (d *Driver) stagedBytesScan() int64 {
+	var n int64
+	for _, e := range d.staging {
+		n += int64(e.count) * geom.SectorSize
+	}
+	return n
+}
+
+// outstandingScan is the O(records) oracle for the liveRecords counter.
+func (d *Driver) outstandingScan() int {
+	n := 0
+	for _, ld := range d.logs {
+		for _, r := range ld.outstanding {
+			if !r.done {
+				n++
+			}
+		}
+	}
+	return n
 }

@@ -11,6 +11,15 @@ import (
 
 const driverSnapKind = "trail.Driver"
 
+// Driver snapshot format versions. Version 2 adds the staging order: the
+// driver's staging sequence and each buffer's stamp. Version 1 snapshots
+// still restore; their buffers are stamped in (dev, lba, count) order, the
+// only order a v1 stream preserves.
+const (
+	driverSnapV1 = 1
+	driverSnapV2 = 2
+)
+
 // quiescent reports why the driver cannot be captured or adopted as pure
 // data: client writes waiting in the log queue, a writer mid-record, or a
 // write-back flight between ProbeWBStart and ProbeWBEnd all live on process
@@ -64,6 +73,11 @@ func (d *Driver) Snapshot() []byte {
 	if err := d.quiescent(); err != nil {
 		panic(fmt.Sprintf("trail: Snapshot: %v", err))
 	}
+	// Restore recomputes the counters from the encoded state, so a counter
+	// that drifted from its scan would silently heal on a round trip.
+	if err := d.checkCounters(); err != nil {
+		panic(fmt.Sprintf("trail: Snapshot: %v", err))
+	}
 	// Position of every outstanding record, so staging references encode as
 	// (log index, chain index).
 	recPos := make(map[*record][2]int)
@@ -73,11 +87,12 @@ func (d *Driver) Snapshot() []byte {
 		}
 	}
 
-	w := snapshot.NewWriter(driverSnapKind, 1)
+	w := snapshot.NewWriter(driverSnapKind, driverSnapV2)
 	w.Int(len(d.logs))
 	w.Int(len(d.dataDisks))
 	w.U32(d.epoch)
 	w.U64(d.seq)
+	w.U64(d.stageSeq)
 	w.I64(int64(d.lastActivity))
 	w.Bool(d.closed)
 	w.Bool(d.failed != nil)
@@ -143,6 +158,7 @@ func (d *Driver) Snapshot() []byte {
 		for _, id := range e.spanIDs {
 			w.I64(id)
 		}
+		w.U64(e.stamp)
 	}
 
 	for _, q := range d.wbQueues {
@@ -169,7 +185,7 @@ func (d *Driver) Quiescent() error { return d.quiescent() }
 // whole world additionally requires the kernel to be rebuilt by replay (see
 // internal/crashexplore).
 func (d *Driver) Restore(data []byte) error {
-	r, err := snapshot.NewReader(data, driverSnapKind, 1)
+	r, ver, err := snapshot.NewReaderVersions(data, driverSnapKind, driverSnapV1, driverSnapV2)
 	if err != nil {
 		return err
 	}
@@ -177,6 +193,10 @@ func (d *Driver) Restore(data []byte) error {
 	nData := r.Int()
 	epoch := r.U32()
 	seq := r.U64()
+	var stageSeq uint64
+	if ver >= driverSnapV2 {
+		stageSeq = r.U64()
+	}
 	lastActivity := r.I64()
 	closed := r.Bool()
 	failed := r.Bool()
@@ -266,6 +286,13 @@ func (d *Driver) Restore(data []byte) error {
 		for j := 0; j < nsp; j++ {
 			ss.entry.spanIDs = append(ss.entry.spanIDs, r.I64())
 		}
+		if ver >= driverSnapV2 {
+			ss.entry.stamp = r.U64()
+		} else {
+			// Entries arrive in key order; a v1 stream has no other.
+			stageSeq++
+			ss.entry.stamp = stageSeq
+		}
 		staged = append(staged, ss)
 	}
 
@@ -309,6 +336,10 @@ func (d *Driver) Restore(data []byte) error {
 		if ss.key.dev < 0 || ss.key.dev >= nData {
 			return fmt.Errorf("%w: staged entry for data disk %d", snapshot.ErrCorrupt, ss.key.dev)
 		}
+		if ss.entry.stamp == 0 || ss.entry.stamp > stageSeq {
+			return fmt.Errorf("%w: staged entry stamp %d outside staging sequence %d",
+				snapshot.ErrCorrupt, ss.entry.stamp, stageSeq)
+		}
 		for _, pos := range ss.refPos {
 			if pos[0] < 0 || pos[0] >= nLogs || pos[1] < 0 || pos[1] >= len(lds[pos[0]].recs) {
 				return fmt.Errorf("%w: staged reference to record %d/%d", snapshot.ErrCorrupt, pos[0], pos[1])
@@ -323,6 +354,7 @@ func (d *Driver) Restore(data []byte) error {
 	d.failed = nil
 	d.epoch = epoch
 	d.seq = seq
+	d.stageSeq = stageSeq
 	d.lastActivity = sim.Time(lastActivity)
 	d.stats = st
 	for i, s := range lds {
@@ -357,6 +389,8 @@ func (d *Driver) Restore(data []byte) error {
 		}
 		d.staging[ss.key] = ss.entry
 	}
+	d.stagedBytes = d.stagedBytesScan()
+	d.liveRecords = d.outstandingScan()
 	for i, items := range wbItems {
 		q := d.wbQueues[i]
 		q.Drain(0)

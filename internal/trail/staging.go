@@ -57,6 +57,10 @@ type bufEntry struct {
 	// awaiting a write-back flight to claim them as flow sources (empty while
 	// span recording is disabled).
 	spanIDs []int64
+	// stamp is the driver's staging sequence number at the buffer's latest
+	// version: among overlapping extents, the higher stamp holds the newer
+	// data and wins every read.
+	stamp uint64
 }
 
 // oldestOutstanding returns the log disk's oldest not-yet-committed record,
@@ -80,6 +84,7 @@ func (d *Driver) stage(pw *pendingWrite, rec *record) {
 	if e == nil {
 		e = &bufEntry{count: pw.count}
 		d.staging[key] = e
+		d.stagedBytes += int64(e.count) * geom.SectorSize
 	} else if len(e.refs) > 0 || e.inQueue {
 		// A version of this buffer is already awaiting write-back; the
 		// new data supersedes it and a single data-disk write will
@@ -88,6 +93,8 @@ func (d *Driver) stage(pw *pendingWrite, rec *record) {
 	}
 	e.data = pw.data
 	e.version++
+	d.stageSeq++
+	e.stamp = d.stageSeq
 	e.refs = append(e.refs, recordRef{rec: rec, sectors: pw.count})
 	if id := pw.rq.ID(); id != 0 {
 		e.spanIDs = append(e.spanIDs, id)
@@ -220,6 +227,7 @@ func (d *Driver) writebackLoop(p *sim.Proc, devIdx int) {
 			e := f.entry
 			if cur := d.staging[f.key]; cur == e && e.version == f.ver && len(e.refs) == 0 && !e.inQueue {
 				delete(d.staging, f.key)
+				d.stagedBytes -= int64(e.count) * geom.SectorSize
 				d.tlStaged.Set(float64(d.StagedBytes()), int64(p.Now()))
 			}
 			d.tlFlights.Add(-1, int64(p.Now()))
@@ -263,6 +271,7 @@ func (d *Driver) commitRef(ref recordRef) {
 		return
 	}
 	r.done = true
+	d.liveRecords--
 	ld := r.log
 	ld.busyCount[r.trackIdx]--
 	if ld.busyCount[r.trackIdx] == 0 {
@@ -276,10 +285,4 @@ func (d *Driver) commitRef(ref recordRef) {
 }
 
 // StagedBytes returns the memory pinned by the staging buffer.
-func (d *Driver) StagedBytes() int64 {
-	var n int64
-	for _, e := range d.staging {
-		n += int64(e.count) * geom.SectorSize
-	}
-	return n
-}
+func (d *Driver) StagedBytes() int64 { return d.stagedBytes }
