@@ -34,6 +34,7 @@ import (
 	"tracklog/internal/cluster"
 	"tracklog/internal/experiments"
 	"tracklog/internal/fault"
+	"tracklog/internal/obs"
 	"tracklog/internal/qos"
 	"tracklog/internal/sim"
 	"tracklog/internal/span"
@@ -106,23 +107,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 
-	var reg *telemetry.Registry
+	var sc obs.Scope
 	if *metricsOut != "" {
-		reg = telemetry.NewRegistry()
-		env.SetMetrics(reg)
-		c.RegisterMetrics(reg)
+		sc.Metrics = telemetry.NewRegistry()
 	}
-	var agg *timeline.Aggregator
 	if *tlBucket > 0 {
-		agg = timeline.New(*tlBucket)
-		env.SetTimeline(agg)
-		c.SetTimeline(agg)
+		sc.Timeline = timeline.New(*tlBucket)
 	}
-	var rec *span.Recorder
 	if *tailFrac > 0 {
-		rec = span.NewRecorder(0)
-		c.SetRecorder(rec)
+		sc.Spans = span.NewRecorder(0)
 	}
+	env.SetScope(sc)
+	c.SetScope(sc)
 
 	mix, err := workload.GenerateMix(workload.MixConfig{
 		Tenants:           *tenants,
@@ -163,25 +159,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "verify: %d acked slots read back, %d lost\n", checked, lost)
 	}
 
-	if reg != nil {
-		if err := writeFile(*metricsOut, promOrJSON(*metricsOut, reg)); err != nil {
+	if sc.Metrics != nil {
+		if err := writeFile(*metricsOut, promOrJSON(*metricsOut, sc.Metrics)); err != nil {
 			return fail(err)
 		}
-		fmt.Fprintf(stdout, "metrics: %d series -> %s\n", reg.Len(), *metricsOut)
+		fmt.Fprintf(stdout, "metrics: %d series -> %s\n", sc.Metrics.Len(), *metricsOut)
 	}
-	if agg != nil {
-		agg.Finish(int64(env.Now()))
-		write := agg.WriteCSV
+	if sc.Timeline != nil {
+		sc.Timeline.Finish(int64(env.Now()))
+		write := sc.Timeline.WriteCSV
 		if strings.HasSuffix(*tlOut, ".json") {
-			write = agg.WriteJSON
+			write = sc.Timeline.WriteJSON
 		}
 		if err := writeFile(*tlOut, write); err != nil {
 			return fail(err)
 		}
-		fmt.Fprintf(stdout, "timeline: bucket %v -> %s\n", time.Duration(agg.BucketNS()), *tlOut)
+		fmt.Fprintf(stdout, "timeline: bucket %v -> %s\n", time.Duration(sc.Timeline.BucketNS()), *tlOut)
 	}
-	if rec != nil {
-		fmt.Fprint(stdout, span.ExplainTail(rec.Requests(), *tailFrac))
+	if sc.Spans != nil {
+		fmt.Fprint(stdout, span.ExplainTail(sc.Spans.Requests(), *tailFrac))
 	}
 
 	if lost > 0 {

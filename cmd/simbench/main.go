@@ -37,6 +37,7 @@ import (
 	"tracklog/internal/benchfmt"
 	"tracklog/internal/crashexplore/stacks"
 	"tracklog/internal/metrics"
+	"tracklog/internal/obs"
 	"tracklog/internal/sim"
 	"tracklog/internal/telemetry"
 	"tracklog/internal/timeline"
@@ -141,23 +142,18 @@ func runWorld(name string, writes int, telemetryBase string, tlBucket time.Durat
 	}
 	env := sim.NewEnv()
 	defer env.Close()
-	reg := telemetry.NewRegistry()
-	env.SetMetrics(reg)
+	sc := obs.Scope{Metrics: telemetry.NewRegistry()}
+	if tlBucket > 0 {
+		sc.Timeline = timeline.New(tlBucket)
+	}
+	env.SetScope(sc)
 
 	wf, err := st.Build(env)
 	if err != nil {
 		return benchfmt.Entry{}, wallWorld{}, err
 	}
 	if st.Observe != nil {
-		st.Observe(reg)
-	}
-	var agg *timeline.Aggregator
-	if tlBucket > 0 {
-		agg = timeline.New(tlBucket)
-		env.SetTimeline(agg)
-		if st.ObserveTimeline != nil {
-			st.ObserveTimeline(agg)
-		}
+		st.Observe(sc)
 	}
 
 	// The WAL world runs the simulation during Build (catalog setup), so
@@ -210,15 +206,15 @@ func runWorld(name string, writes int, telemetryBase string, tlBucket time.Durat
 
 	if telemetryBase != "" {
 		path := telemetryPath(telemetryBase, name)
-		if err := writeTelemetry(path, reg); err != nil {
+		if err := writeTelemetry(path, sc.Metrics); err != nil {
 			return benchfmt.Entry{}, wallWorld{}, err
 		}
 		fmt.Fprintf(stdout, "telemetry -> %s\n", path)
 	}
-	if agg != nil {
-		agg.Finish(int64(env.Now()))
+	if sc.Timeline != nil {
+		sc.Timeline.Finish(int64(env.Now()))
 		path := telemetryPath(tlBase, name)
-		if err := writeTimeline(path, agg); err != nil {
+		if err := writeTimeline(path, sc.Timeline); err != nil {
 			return benchfmt.Entry{}, wallWorld{}, err
 		}
 		fmt.Fprintf(stdout, "timeline -> %s\n", path)

@@ -8,6 +8,7 @@ import (
 
 	"tracklog/internal/benchfmt"
 	"tracklog/internal/crashexplore/stacks"
+	"tracklog/internal/obs"
 	"tracklog/internal/sim"
 	"tracklog/internal/telemetry"
 )
@@ -76,9 +77,9 @@ func TestTwoRunByteIdenticalArtifacts(t *testing.T) {
 	}
 }
 
-// Every instrumented component must accept a nil registry (and the kernel a
-// nil SetMetrics) as a no-op: the nil-is-disabled discipline that keeps
-// un-instrumented worlds at zero overhead.
+// Every instrumented component (and the kernel) must accept a zero Scope as
+// a no-op: the nil-is-disabled discipline that keeps un-instrumented worlds
+// at zero overhead.
 func TestNilRegistryIsNoOpInEveryWorld(t *testing.T) {
 	for _, name := range []string{"trail", "stddisk", "raid5", "wal"} {
 		name := name
@@ -89,7 +90,7 @@ func TestNilRegistryIsNoOpInEveryWorld(t *testing.T) {
 			}
 			env := sim.NewEnv()
 			defer env.Close()
-			env.SetMetrics(nil)
+			env.SetScope(obs.Scope{})
 			wf, err := st.Build(env)
 			if err != nil {
 				t.Fatal(err)
@@ -97,7 +98,7 @@ func TestNilRegistryIsNoOpInEveryWorld(t *testing.T) {
 			if st.Observe == nil {
 				t.Fatal("stack has no Observe hook")
 			}
-			st.Observe(nil) // must not panic or register anything
+			st.Observe(obs.Scope{}) // must not panic or register anything
 			env.Go("w", func(p *sim.Proc) {
 				for i := 0; i < 2*st.Slots; i++ {
 					if err := wf(p, i%st.Slots, i/st.Slots+1); err != nil {

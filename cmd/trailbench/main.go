@@ -31,6 +31,7 @@ import (
 	"tracklog/internal/disk"
 	"tracklog/internal/experiments"
 	"tracklog/internal/metrics"
+	"tracklog/internal/obs"
 	"tracklog/internal/sched"
 	"tracklog/internal/sim"
 	"tracklog/internal/stddisk"
@@ -276,8 +277,9 @@ func benchPoint(system string, mode workload.Mode, sizeKB, writes int, seed uint
 	var agg *timeline.Aggregator
 	if tlBucket > 0 {
 		agg = timeline.New(tlBucket)
-		env.SetTimeline(agg)
 	}
+	sc := obs.Scope{Timeline: agg}
+	env.SetScope(sc)
 	var dev blockdev.Device
 	var drv *trail.Driver
 	switch system {
@@ -293,11 +295,11 @@ func benchPoint(system string, mode workload.Mode, sizeKB, writes int, seed uint
 			return benchfmt.Entry{}, err
 		}
 		dev = drv.Dev(0)
-		drv.SetTimeline(agg)
+		drv.SetScope(sc)
 	default:
 		d := disk.New(env, disk.WDCaviar())
 		std := stddisk.New(env, d, blockdev.DevID{Major: 3}, sched.LOOK)
-		std.SetTimeline(agg, "disk0")
+		std.SetScope(sc, "disk0")
 		dev = std
 	}
 	res, err := workload.RunSyncWrites(env, dev, workload.SyncWriteConfig{

@@ -33,9 +33,6 @@
 //	                       (load in ui.perfetto.dev or chrome://tracing) and
 //	                       print the head-position prediction audit
 //	-trace-cap N           trace ring capacity in events
-//	-sample-interval D     sample per-device gauges every D of virtual time
-//	-sample-out FILE       time-series destination (.json for JSON, .prom for
-//	                       Prometheus text exposition, else CSV)
 //	-spans                 print the per-request span budget: each phase's
 //	                       share of end-to-end latency, per driver and kind
 //	-span-out FILE         write every request's span tree as deterministic
@@ -46,7 +43,7 @@
 //	-span-cap N            span recorder ring capacity in requests
 //
 // Traced runs are bit-identical in virtual time to untraced runs of the same
-// seed, and trace/sample/span files are byte-identical across repeated runs.
+// seed, and trace/span files are byte-identical across repeated runs.
 package main
 
 import (
@@ -67,6 +64,7 @@ import (
 	"tracklog/internal/experiments"
 	"tracklog/internal/fault"
 	"tracklog/internal/metrics"
+	"tracklog/internal/obs"
 	"tracklog/internal/qos"
 	"tracklog/internal/sched"
 	"tracklog/internal/sim"
@@ -102,8 +100,6 @@ func main() {
 	verify := flag.Bool("verify", false, "with -offered-load, audit acknowledged-write survival and exit nonzero on loss")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file of the run")
 	traceCap := flag.Int("trace-cap", trace.DefaultCapacity, "trace ring capacity in events")
-	sampleInterval := flag.Duration("sample-interval", 0, "sample per-device gauges every interval of virtual time (0 disables)")
-	sampleOut := flag.String("sample-out", "samples.csv", "time-series output file for -sample-interval (.json for JSON, .prom for Prometheus)")
 	metricsOut := flag.String("metrics", "", "write the unified telemetry registry at exit (.prom for Prometheus text, .json otherwise); kernel + component series, byte-deterministic")
 	spans := flag.Bool("spans", false, "print the per-request span budget (critical-path latency breakdown)")
 	spanOut := flag.String("span-out", "", "write every request's span tree as deterministic JSON")
@@ -118,17 +114,17 @@ func main() {
 		*faultSeed = *seed
 	}
 
-	obs := newObserver(*traceOut, *traceCap, *sampleOut, *sampleInterval)
+	ob := newObserver(*traceOut, *traceCap)
 	if *spans || *spanOut != "" || *explainTail > 0 {
-		obs.setSpans(*spanCap, *spans, *spanOut, *explainTail)
+		ob.setSpans(*spanCap, *spans, *spanOut, *explainTail)
 	}
 	if *metricsOut != "" {
-		obs.setMetrics(*metricsOut)
+		ob.setMetrics(*metricsOut)
 	}
 	if *timelineBucket > 0 {
-		obs.setTimeline(*timelineBucket, *timelineOut)
+		ob.setTimeline(*timelineBucket, *timelineOut)
 	}
-	obs.benchOut = *benchOut
+	ob.benchOut = *benchOut
 	pol := qosPolicy(*qosOn, *deadline, *maxDepth)
 	var err error
 	switch {
@@ -137,16 +133,16 @@ func main() {
 	case *faultTol:
 		err = runFaultTol(*faults, *writes, *faultSeed)
 	case *replayFile != "":
-		err = runReplayFile(*system, *replayFile, pol, *seekDerate, obs)
+		err = runReplayFile(*system, *replayFile, pol, *seekDerate, ob)
 	case *pattern != "":
-		err = runPattern(*system, *pattern, *writes, *size, *writeRatio, *seed, pol, *seekDerate, obs)
+		err = runPattern(*system, *pattern, *writes, *size, *writeRatio, *seed, pol, *seekDerate, ob)
 	case *offeredLoad > 0:
-		err = runOpenLoop(*system, *size, *writes, *offeredLoad, *seed, *faults, *faultSeed, pol, *seekDerate, *verify, obs)
+		err = runOpenLoop(*system, *size, *writes, *offeredLoad, *seed, *faults, *faultSeed, pol, *seekDerate, *verify, ob)
 	default:
-		err = run(*system, *mode, *size, *procs, *writes, *seed, *faults, *faultSeed, pol, *seekDerate, *verifySnapshot, obs)
+		err = run(*system, *mode, *size, *procs, *writes, *seed, *faults, *faultSeed, pol, *seekDerate, *verifySnapshot, ob)
 	}
 	if err == nil {
-		err = obs.finish()
+		err = ob.finish()
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "trailsim:", err)
@@ -154,36 +150,21 @@ func main() {
 	}
 }
 
-// observer bundles the run's optional telemetry: the event tracer (Chrome
-// trace export plus prediction audit) and the periodic gauge sampler.
+// observer bundles the run's optional observers and their output options.
+// Each field of sc is nil unless its flags asked for it: the event tracer
+// (Chrome trace export plus prediction audit), the span recorder, the
+// unified telemetry registry (the kernel and components register into it
+// at attach time), and the utilization timeline (finish() closes the open
+// intervals at the environment's final clock and exports).
 type observer struct {
-	traceOut string
-	tr       *trace.Tracer
+	sc obs.Scope
 
-	sampleOut string
-	interval  time.Duration
-	sampler   *trace.Sampler
-
-	// Span attribution (nil unless a -spans/-span-out/-explain-tail flag
-	// asked for it).
-	rec      *span.Recorder
-	spans    bool
-	spanOut  string
-	tailFrac float64
-	// counters snapshots the driver's counter set at finish time, for the
-	// Prometheus exposition (nil when no driver is attached).
-	counters func() map[string]int64
-
-	// Unified telemetry registry (nil unless -metrics asked for it); the
-	// kernel and components register into it at attach time.
-	metricsOut string
-	reg        *telemetry.Registry
-
-	// Virtual-time utilization timeline (nil unless -timeline asked for
-	// it); finish() closes the open intervals at the environment's final
-	// clock and exports.
+	traceOut    string
+	spans       bool
+	spanOut     string
+	tailFrac    float64
+	metricsOut  string
 	timelineOut string
-	agg         *timeline.Aggregator
 	env         *sim.Env
 
 	// Single-entry benchfmt summary ("" disables); run() deposits the
@@ -192,10 +173,10 @@ type observer struct {
 	benchEntry *benchfmt.Entry
 }
 
-func newObserver(traceOut string, traceCap int, sampleOut string, interval time.Duration) *observer {
-	o := &observer{traceOut: traceOut, sampleOut: sampleOut, interval: interval}
+func newObserver(traceOut string, traceCap int) *observer {
+	o := &observer{traceOut: traceOut}
 	if traceOut != "" {
-		o.tr = trace.New(traceCap)
+		o.sc.Trace = trace.New(traceCap)
 	}
 	return o
 }
@@ -204,7 +185,7 @@ func newObserver(traceOut string, traceCap int, sampleOut string, interval time.
 // through a setter (rather than poking the fields) is the nilguard
 // invariant: instrumentation handles never change once the clock moves.
 func (o *observer) setSpans(capacity int, print bool, out string, tailFrac float64) {
-	o.rec = span.NewRecorder(capacity)
+	o.sc.Spans = span.NewRecorder(capacity)
 	o.spans = print
 	o.spanOut = out
 	o.tailFrac = tailFrac
@@ -214,151 +195,71 @@ func (o *observer) setSpans(capacity int, print bool, out string, tailFrac float
 // (same setter discipline as setSpans).
 func (o *observer) setMetrics(out string) {
 	o.metricsOut = out
-	o.reg = telemetry.NewRegistry()
+	o.sc.Metrics = telemetry.NewRegistry()
 }
 
 // setTimeline installs the utilization-timeline aggregator before the run
 // starts (same setter discipline as setSpans).
 func (o *observer) setTimeline(bucket time.Duration, out string) {
 	o.timelineOut = out
-	o.agg = timeline.New(bucket)
+	o.sc.Timeline = timeline.New(bucket)
 }
 
 // attach wires the observer into a freshly built rig: the kernel and every
-// device report into the tracer, and a daemon process (which never keeps the
-// simulation alive) samples the gauges. At most one of drv/std is non-nil.
+// device report into the run's observers. At most one of drv/std is non-nil.
 func (o *observer) attach(env *sim.Env, drv *trail.Driver, std *stddisk.Device) {
-	if o.tr != nil {
-		env.SetTracer(o.tr)
-		if drv != nil {
-			drv.SetTracer(o.tr)
-		}
-		if std != nil {
-			std.SetTracer(o.tr, "disk0")
-		}
-	}
-	if o.rec != nil {
-		if drv != nil {
-			drv.SetRecorder(o.rec)
-		}
-		if std != nil {
-			std.SetRecorder(o.rec, "disk0")
-		}
-	}
+	o.env = env
+	env.SetScope(o.sc)
 	if drv != nil {
-		o.counters = func() map[string]int64 { return drv.Stats().Counters().Snapshot() }
+		drv.SetScope(o.sc)
 	}
-	if o.reg != nil {
-		env.SetMetrics(o.reg)
-		if drv != nil {
-			drv.RegisterMetrics(o.reg)
-		}
-		if std != nil {
-			std.RegisterMetrics(o.reg, "disk0")
-		}
-	}
-	if o.agg != nil {
-		o.env = env
-		env.SetTimeline(o.agg)
-		if drv != nil {
-			drv.SetTimeline(o.agg)
-		}
-		if std != nil {
-			std.SetTimeline(o.agg, "disk0")
-		}
-	}
-	if o.interval <= 0 {
-		return
-	}
-	switch {
-	case drv != nil:
-		o.sampler = trace.NewSampler(
-			"log_queue", "data_queue", "staged_bytes", "outstanding_records", "log_cyl")
-		env.GoDaemon("telemetry-sampler", func(p *sim.Proc) {
-			for {
-				cyl, _ := drv.LogDisk(0).ArmPosition()
-				o.sampler.Record(int64(p.Now()),
-					float64(drv.LogQueueLen()),
-					float64(drv.DataQueue(0).Depth()),
-					float64(drv.StagedBytes()),
-					float64(drv.OutstandingRecords()),
-					float64(cyl))
-				p.Sleep(o.interval)
-			}
-		})
-	case std != nil:
-		o.sampler = trace.NewSampler("queue_depth", "arm_cyl")
-		env.GoDaemon("telemetry-sampler", func(p *sim.Proc) {
-			for {
-				cyl, _ := std.Queue().Disk().ArmPosition()
-				o.sampler.Record(int64(p.Now()),
-					float64(std.Queue().Depth()),
-					float64(cyl))
-				p.Sleep(o.interval)
-			}
-		})
+	if std != nil {
+		std.SetScope(o.sc, "disk0")
 	}
 }
 
 // finish writes the collected telemetry files and prints the audit.
 func (o *observer) finish() error {
-	if o.tr != nil {
-		write := o.tr.WriteChrome
-		if o.rec != nil {
+	if o.sc.Trace != nil {
+		write := o.sc.Trace.WriteChrome
+		if o.sc.Spans != nil {
 			// Merge the request spans into the same Chrome file: kernel
 			// events and per-request async spans share the timeline.
 			write = func(w io.Writer) error {
 				cw := trace.NewChromeWriter(w)
-				o.tr.EmitChrome(cw)
-				o.rec.EmitChrome(cw)
+				o.sc.Trace.EmitChrome(cw)
+				o.sc.Spans.EmitChrome(cw)
 				return cw.Close()
 			}
 		}
 		if err := writeFile(o.traceOut, write); err != nil {
 			return err
 		}
-		fmt.Printf("trace: %d events -> %s (%d dropped)\n", o.tr.Len(), o.traceOut, o.tr.Dropped())
-		if rep := o.tr.Audit(); rep.Predictions > 0 || rep.Unaudited > 0 {
+		fmt.Printf("trace: %d events -> %s (%d dropped)\n", o.sc.Trace.Len(), o.traceOut, o.sc.Trace.Dropped())
+		if rep := o.sc.Trace.Audit(); rep.Predictions > 0 || rep.Unaudited > 0 {
 			fmt.Print(rep)
 		}
 	}
-	if o.sampler != nil {
-		write := o.sampler.WriteCSV
-		switch {
-		case strings.HasSuffix(o.sampleOut, ".json"):
-			write = o.sampler.WriteJSON
-		case strings.HasSuffix(o.sampleOut, ".prom"):
-			var counters map[string]int64
-			if o.counters != nil {
-				counters = o.counters()
-			}
-			write = func(w io.Writer) error { return o.sampler.WriteProm(w, counters) }
-		}
-		if err := writeFile(o.sampleOut, write); err != nil {
-			return err
-		}
-		fmt.Printf("samples: %d rows -> %s\n", o.sampler.Rows(), o.sampleOut)
-	}
-	if o.reg != nil {
-		write := o.reg.WriteJSON
+	if o.sc.Metrics != nil {
+		write := o.sc.Metrics.WriteJSON
 		if strings.HasSuffix(o.metricsOut, ".prom") {
-			write = o.reg.WriteProm
+			write = o.sc.Metrics.WriteProm
 		}
 		if err := writeFile(o.metricsOut, write); err != nil {
 			return err
 		}
-		fmt.Printf("metrics: %d series -> %s\n", o.reg.Len(), o.metricsOut)
+		fmt.Printf("metrics: %d series -> %s\n", o.sc.Metrics.Len(), o.metricsOut)
 	}
-	if o.agg != nil {
-		o.agg.Finish(int64(o.env.Now()))
-		write := o.agg.WriteCSV
+	if o.sc.Timeline != nil {
+		o.sc.Timeline.Finish(int64(o.env.Now()))
+		write := o.sc.Timeline.WriteCSV
 		if strings.HasSuffix(o.timelineOut, ".json") {
-			write = o.agg.WriteJSON
+			write = o.sc.Timeline.WriteJSON
 		}
 		if err := writeFile(o.timelineOut, write); err != nil {
 			return err
 		}
-		fmt.Printf("timeline: bucket %v -> %s\n", time.Duration(o.agg.BucketNS()), o.timelineOut)
+		fmt.Printf("timeline: bucket %v -> %s\n", time.Duration(o.sc.Timeline.BucketNS()), o.timelineOut)
 	}
 	if o.benchOut != "" && o.benchEntry != nil {
 		bf := &benchfmt.File{Experiments: []benchfmt.Entry{*o.benchEntry}}
@@ -367,8 +268,8 @@ func (o *observer) finish() error {
 		}
 		fmt.Printf("bench summary -> %s\n", o.benchOut)
 	}
-	if o.rec != nil {
-		reqs := o.rec.Requests()
+	if o.sc.Spans != nil {
+		reqs := o.sc.Spans.Requests()
 		if o.spans {
 			fmt.Print(span.Analyze(reqs))
 		}
@@ -376,10 +277,10 @@ func (o *observer) finish() error {
 			fmt.Print(span.ExplainTail(reqs, o.tailFrac))
 		}
 		if o.spanOut != "" {
-			if err := writeFile(o.spanOut, o.rec.WriteJSON); err != nil {
+			if err := writeFile(o.spanOut, o.sc.Spans.WriteJSON); err != nil {
 				return err
 			}
-			fmt.Printf("spans: %d requests -> %s (%d dropped)\n", len(reqs), o.spanOut, o.rec.Dropped())
+			fmt.Printf("spans: %d requests -> %s (%d dropped)\n", len(reqs), o.spanOut, o.sc.Spans.Dropped())
 		}
 	}
 	return nil
@@ -543,7 +444,7 @@ func verifyWorldSnapshot(w *crashexplore.World) error {
 }
 
 // runReplayFile replays a trace file against the chosen system.
-func runReplayFile(system, path string, pol *qos.Policy, seekDerate int64, obs *observer) error {
+func runReplayFile(system, path string, pol *qos.Policy, seekDerate int64, ob *observer) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -559,7 +460,7 @@ func runReplayFile(system, path string, pol *qos.Policy, seekDerate int64, obs *
 	if err != nil {
 		return err
 	}
-	obs.attach(env, drv, std)
+	ob.attach(env, drv, std)
 	res, err := workload.Replay(env, dev, tr)
 	if err != nil {
 		return err
@@ -569,14 +470,14 @@ func runReplayFile(system, path string, pol *qos.Policy, seekDerate int64, obs *
 }
 
 // runPattern synthesizes a trace with the named pattern and replays it.
-func runPattern(system, pattern string, ops, size int, writeRatio float64, seed uint64, pol *qos.Policy, seekDerate int64, obs *observer) error {
+func runPattern(system, pattern string, ops, size int, writeRatio float64, seed uint64, pol *qos.Policy, seekDerate int64, ob *observer) error {
 	env := sim.NewEnv()
 	defer env.Close()
 	dev, drv, std, _, _, err := buildDevice(env, system, "", 0, pol, seekDerate)
 	if err != nil {
 		return err
 	}
-	obs.attach(env, drv, std)
+	ob.attach(env, drv, std)
 	var pat workload.Pattern
 	switch pattern {
 	case "uniform":
@@ -604,14 +505,14 @@ func printReplay(system, source string, res *workload.ReplayResult) {
 	fmt.Printf("elapsed %v, %d ops issued late\n", res.Elapsed, res.Lagged)
 }
 
-func run(system, mode string, size, procs, writes int, seed uint64, scenario string, faultSeed uint64, pol *qos.Policy, seekDerate int64, verifySnap bool, obs *observer) error {
+func run(system, mode string, size, procs, writes int, seed uint64, scenario string, faultSeed uint64, pol *qos.Policy, seekDerate int64, verifySnap bool, ob *observer) error {
 	env := sim.NewEnv()
 	defer env.Close()
 	dev, drv, std, plans, world, err := buildDevice(env, system, scenario, faultSeed, pol, seekDerate)
 	if err != nil {
 		return err
 	}
-	obs.attach(env, drv, std)
+	ob.attach(env, drv, std)
 
 	m := workload.Sparse
 	if mode == "clustered" {
@@ -632,7 +533,7 @@ func run(system, mode string, size, procs, writes int, seed uint64, scenario str
 	}
 	fmt.Printf("%s / %s / %dB x %d writes x %d procs\n", system, mode, size, writes, procs)
 	fmt.Printf("latency: %v\n", res.Latency)
-	obs.benchEntry = &benchfmt.Entry{
+	ob.benchEntry = &benchfmt.Entry{
 		Name:   fmt.Sprintf("sync-write/%s/%s/%dB", system, mode, size),
 		Count:  res.Latency.Count(),
 		MeanUS: float64(res.Latency.Mean().Nanoseconds()) / 1000,
@@ -675,14 +576,14 @@ type ackedWrite struct {
 // deadline outcomes. With verify, every acknowledged write is read back
 // after the run: an acknowledged write that cannot be read back intact is
 // data loss and fails the run.
-func runOpenLoop(system string, size, writes int, rate float64, seed uint64, scenario string, faultSeed uint64, pol *qos.Policy, seekDerate int64, verify bool, obs *observer) error {
+func runOpenLoop(system string, size, writes int, rate float64, seed uint64, scenario string, faultSeed uint64, pol *qos.Policy, seekDerate int64, verify bool, ob *observer) error {
 	env := sim.NewEnv()
 	defer env.Close()
 	dev, drv, std, plans, _, err := buildDevice(env, system, scenario, faultSeed, pol, seekDerate)
 	if err != nil {
 		return err
 	}
-	obs.attach(env, drv, std)
+	ob.attach(env, drv, std)
 
 	// survivors holds, per target, every acknowledged write: concurrent
 	// acked writes to one slot race in the device, so readback must match

@@ -5,8 +5,10 @@
 package bufcache
 
 import (
+	"cmp"
 	"container/list"
 	"fmt"
+	"slices"
 
 	"tracklog/internal/blockdev"
 	"tracklog/internal/geom"
@@ -174,9 +176,20 @@ func (c *Cache) Release(pg *Page) {
 	pg.pins--
 }
 
-// FlushAll writes every dirty page to the device (checkpoint).
+// FlushAll writes every dirty page to the device (checkpoint), in ascending
+// page ID order so the device sees the same command sequence on every
+// same-seed run.
 func (c *Cache) FlushAll(p *sim.Proc) error {
+	var dirty []*Page
 	for _, pg := range c.pages {
+		if pg.dirty {
+			dirty = append(dirty, pg)
+		}
+	}
+	slices.SortFunc(dirty, func(a, b *Page) int { return cmp.Compare(a.ID, b.ID) })
+	for _, pg := range dirty {
+		// A write yields, so an earlier page's eviction may already have
+		// cleaned this one.
 		if pg.dirty {
 			if err := c.writePage(p, pg); err != nil {
 				return err

@@ -1,6 +1,7 @@
 package bufcache
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -154,6 +155,60 @@ func TestFlushAll(t *testing.T) {
 		if got := d.MediaRead(id*PageSectors, 1); got[0] != byte(id) {
 			t.Errorf("page %d not flushed", id)
 		}
+	}
+}
+
+// recordingDev is an in-memory device that logs the LBA of every write and
+// takes 1 ms of virtual time per command.
+type recordingDev struct {
+	media  map[int64][]byte
+	writes []int64
+}
+
+func (r *recordingDev) ID() blockdev.DevID { return blockdev.DevID{Major: 3} }
+func (r *recordingDev) Sectors() int64     { return 1 << 20 }
+
+func (r *recordingDev) Read(p *sim.Proc, lba int64, count int) ([]byte, error) {
+	p.Sleep(time.Millisecond)
+	buf := make([]byte, count*geom.SectorSize)
+	copy(buf, r.media[lba])
+	return buf, nil
+}
+
+func (r *recordingDev) Write(p *sim.Proc, lba int64, count int, data []byte) error {
+	p.Sleep(time.Millisecond)
+	r.writes = append(r.writes, lba)
+	r.media[lba] = append([]byte(nil), data...)
+	return nil
+}
+
+// FlushAll must write dirty pages in ascending page ID, whatever order they
+// were dirtied in: a checkpoint's command sequence (and every virtual time
+// after it) has to be the same on every same-seed run.
+func TestFlushAllWritesInPageOrder(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	dev := &recordingDev{media: map[int64][]byte{}}
+	c := New(dev, 64)
+	ids := []int64{17, 3, 42, 8, 29, 1, 36, 12, 25, 5, 40, 19, 33, 7, 21, 14, 38, 2, 27, 10}
+	run(env, func(p *sim.Proc) {
+		for _, id := range ids {
+			pg, err := c.GetZero(p, id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.MarkDirty(pg)
+			c.Release(pg)
+		}
+		if err := c.FlushAll(p); err != nil {
+			t.Error(err)
+		}
+	})
+	if len(dev.writes) != len(ids) {
+		t.Fatalf("%d page writes, want %d", len(dev.writes), len(ids))
+	}
+	if !slices.IsSorted(dev.writes) {
+		t.Errorf("flush wrote LBAs %v, want ascending", dev.writes)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"tracklog/internal/blockdev"
 	"tracklog/internal/fault"
+	"tracklog/internal/obs"
 	"tracklog/internal/qos"
 	"tracklog/internal/sim"
 	"tracklog/internal/span"
@@ -91,7 +92,7 @@ func TestClusterKillOneShardZeroAckedWriteLoss(t *testing.T) {
 	defer env.Close()
 	c, mix, _ := killMix(t, env, 11)
 	rec := span.NewRecorder(0)
-	c.SetRecorder(rec)
+	c.SetScope(obs.Scope{Spans: rec})
 
 	c.RunMix(mix)
 	env.Run()

@@ -14,24 +14,22 @@ import (
 	"fmt"
 	"strconv"
 
-	"tracklog/internal/span"
+	"tracklog/internal/obs"
 	"tracklog/internal/telemetry"
-	"tracklog/internal/timeline"
 )
 
-// SetRecorder attaches (or with nil, detaches) the cluster's span recorder.
-func (c *Cluster) SetRecorder(rec *span.Recorder) { c.rec = rec }
-
-// Recorder returns the attached span recorder (nil when detached).
-func (c *Cluster) Recorder() *span.Recorder { return c.rec }
-
-// SetTimeline attaches the cluster to a utilization-timeline aggregator:
-// one health-state lane per shard (states healthy/suspect/dead/recovering —
-// the recovering window is the rebuild's distinct lane), cluster marks for
-// failovers, hedges, rebuild copies, and shed writes, plus per-disk
-// occupancy lanes for every current shard disk. Call once, before the run.
-func (c *Cluster) SetTimeline(a *timeline.Aggregator) {
-	c.agg = a
+// SetScope attaches the cluster to sc's observers. The span recorder gets
+// one tree per routed request. The timeline gets one health-state lane per
+// shard (states healthy/suspect/dead/recovering; the recovering window is
+// the rebuild's distinct lane), cluster marks for failovers, hedges,
+// rebuild copies and shed writes, plus per-disk occupancy lanes for every
+// current shard disk. The registry gets the cluster's counters and
+// per-shard health. Call once, before the run.
+func (c *Cluster) SetScope(sc obs.Scope) {
+	c.rec = sc.Spans
+	c.agg = sc.Timeline
+	c.registerMetrics(sc.Metrics)
+	a := c.agg
 	if a == nil {
 		return
 	}
@@ -48,14 +46,15 @@ func (c *Cluster) SetTimeline(a *timeline.Aggregator) {
 // observeShardDisks registers occupancy lanes for one shard generation's
 // disks. Replacement generations register fresh lanes at provision time.
 func (c *Cluster) observeShardDisks(sh *Shard) {
-	sh.log.SetTimeline(c.agg, fmt.Sprintf("s%d.g%d.log", sh.idx, sh.gen))
-	sh.data.SetTimeline(c.agg, fmt.Sprintf("s%d.g%d.data", sh.idx, sh.gen))
+	sc := obs.Scope{Timeline: c.agg}
+	sh.log.SetScope(sc, fmt.Sprintf("s%d.g%d.log", sh.idx, sh.gen))
+	sh.data.SetScope(sc, fmt.Sprintf("s%d.g%d.data", sh.idx, sh.gen))
 }
 
-// RegisterMetrics exposes the cluster's counters and per-shard health on
+// registerMetrics exposes the cluster's counters and per-shard health on
 // reg. Per-shard series carry a shard label; the health gauge encodes the
 // state machine numerically (0 healthy, 1 suspect, 2 dead, 3 recovering).
-func (c *Cluster) RegisterMetrics(reg *telemetry.Registry) {
+func (c *Cluster) registerMetrics(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}

@@ -11,19 +11,18 @@ import (
 	"tracklog/internal/fault"
 	"tracklog/internal/geom"
 	"tracklog/internal/kvdb"
+	"tracklog/internal/obs"
 	"tracklog/internal/raid"
 	"tracklog/internal/sched"
 	"tracklog/internal/sim"
 	"tracklog/internal/stddisk"
-	"tracklog/internal/telemetry"
-	"tracklog/internal/timeline"
 	"tracklog/internal/trail"
 	"tracklog/internal/txn"
 	"tracklog/internal/wal"
 )
 
 // The stack recipes below are the explorer-facing ports of the three crash
-// rigs the test suite drives through crashcheck: the Trail driver, a RAID-5
+// rigs the test suite drives through RunSingle: the Trail driver, a RAID-5
 // array of standard disks, and the WAL+transaction database over Trail
 // devices. Each Build call assembles a fresh rig; Recover reboots the most
 // recent one (the drives survive the cut).
@@ -114,14 +113,9 @@ func TrailStack(scenario string, faultSeed uint64) (crashexplore.Stack, error) {
 				return crashexplore.ParseVersion(got, slot, sectorsPer)
 			}, nil
 		},
-		Observe: func(reg *telemetry.Registry) {
+		Observe: func(sc obs.Scope) {
 			if drv != nil {
-				drv.RegisterMetrics(reg)
-			}
-		},
-		ObserveTimeline: func(a *timeline.Aggregator) {
-			if drv != nil {
-				drv.SetTimeline(a)
+				drv.SetScope(sc)
 			}
 		},
 	}, nil
@@ -201,20 +195,12 @@ func RAID5Stack() crashexplore.Stack {
 				return crashexplore.ParseVersion(buf, slot, 1)
 			}, nil
 		},
-		Observe: func(reg *telemetry.Registry) {
+		Observe: func(sc obs.Scope) {
 			if arr != nil {
-				arr.RegisterMetrics(reg, "raid0")
+				arr.SetScope(sc, "raid0")
 			}
 			for i, sd := range memberDevs {
-				sd.RegisterMetrics(reg, fmt.Sprintf("r%d", i))
-			}
-		},
-		ObserveTimeline: func(a *timeline.Aggregator) {
-			if arr != nil {
-				arr.SetTimeline(a, "raid0")
-			}
-			for i, sd := range memberDevs {
-				sd.SetTimeline(a, fmt.Sprintf("r%d", i))
+				sd.SetScope(sc, fmt.Sprintf("r%d", i))
 			}
 		},
 	}
@@ -250,14 +236,9 @@ func StdStack() crashexplore.Stack {
 				return crashexplore.ParseVersion(got, slot, 1)
 			}, nil
 		},
-		Observe: func(reg *telemetry.Registry) {
+		Observe: func(sc obs.Scope) {
 			if dev != nil {
-				dev.RegisterMetrics(reg, "disk0")
-			}
-		},
-		ObserveTimeline: func(a *timeline.Aggregator) {
-			if dev != nil {
-				dev.SetTimeline(a, "disk0")
+				dev.SetScope(sc, "disk0")
 			}
 		},
 	}
@@ -415,23 +396,15 @@ func WALStack() crashexplore.Stack {
 				return gotVer, true
 			}, nil
 		},
-		Observe: func(reg *telemetry.Registry) {
+		Observe: func(sc obs.Scope) {
 			if drv != nil {
-				drv.RegisterMetrics(reg)
+				drv.SetScope(sc)
 			}
 			if walLog != nil {
-				walLog.RegisterMetrics(reg)
+				walLog.SetScope(sc, "wal0")
 			}
 			if mgr != nil {
-				mgr.RegisterMetrics(reg)
-			}
-		},
-		ObserveTimeline: func(a *timeline.Aggregator) {
-			if drv != nil {
-				drv.SetTimeline(a)
-			}
-			if walLog != nil {
-				walLog.SetTimeline(a, "wal0")
+				mgr.SetScope(sc)
 			}
 		},
 	}

@@ -21,7 +21,9 @@ import (
 	"time"
 
 	"tracklog/internal/geom"
+	"tracklog/internal/obs"
 	"tracklog/internal/sim"
+	"tracklog/internal/span"
 	"tracklog/internal/timeline"
 	"tracklog/internal/trace"
 )
@@ -181,6 +183,26 @@ type Result struct {
 // Latency returns the command's total service time.
 func (r Result) Latency() time.Duration { return r.End.Sub(r.Start) }
 
+// Breakdown converts a successful command's measured phase breakdown into
+// a span.CommandBreakdown. The drive model guarantees the phase durations
+// sum (with transfer) to exactly End-Start, so the derived spans tile the
+// command's service interval with no unattributed time. rotPeriod is the
+// drive's revolution time, stamped on the rotational-wait span so analyzers
+// can classify full-rotation prediction misses.
+func (r *Result) Breakdown(rotPeriod time.Duration) span.CommandBreakdown {
+	return span.CommandBreakdown{
+		Start:      int64(r.Start),
+		Turnaround: int64(r.Turnaround),
+		Overhead:   int64(r.Overhead),
+		Seek:       int64(r.Seek),
+		HeadSwitch: int64(r.Switch),
+		Settle:     int64(r.Settle),
+		RotWait:    int64(r.Rotate),
+		Transfer:   int64(r.Transfer),
+		RotPeriod:  int64(rotPeriod),
+	}
+}
+
 // Stats aggregates drive activity, used for the paper's "disk I/O time"
 // accounting.
 type Stats struct {
@@ -256,7 +278,7 @@ type Disk struct {
 	lane *timeline.Lane
 }
 
-// Timeline lane states, in the order registered by SetTimeline. Lane states
+// Timeline lane states, in the order registered by SetScope. Lane states
 // tile the drive's virtual time exactly: at any instant the drive is idle,
 // discovering a fault, or in one mechanical phase of the current command.
 const (
@@ -325,46 +347,35 @@ func (d *Disk) SetInjector(inj Injector) { d.inj = inj }
 // Injector returns the attached fault injector, or nil.
 func (d *Disk) Injector() Injector { return d.inj }
 
-// SetTracer attaches the drive to a tracer under the given track name (nil
-// detaches). The drive emits one event per service-time phase of every
-// command, and registers a head-position ground-truth probe with the tracer
-// so the prediction audit can compare the Trail driver's predicted landing
-// sector with where the head really is. The probe is deliberately reachable
-// only through the tracer: driver code keeps predicting blind.
-func (d *Disk) SetTracer(tr *trace.Tracer, name string) {
-	if d.tr != nil && (tr == nil || name != d.trName) {
+// SetScope attaches the drive to sc's observers under the given name. The
+// tracer gets one event per service-time phase of every command, plus a
+// head-position ground-truth probe so the prediction audit can compare the
+// Trail driver's predicted landing sector with where the head really is;
+// the probe is deliberately reachable only through the tracer, so driver
+// code keeps predicting blind. The timeline gets one occupancy lane whose
+// states (idle/fault/turnaround/overhead/seek/head_switch/settle/
+// rotate_wait/transfer) tile the drive's virtual time exactly. The registry
+// gets the activity counters and virtual-time utilization, labeled
+// disk=name. Call once per scope, before the run; a zero Scope detaches.
+func (d *Disk) SetScope(sc obs.Scope, name string) {
+	if d.tr != nil && (sc.Trace == nil || name != d.trName) {
 		d.tr.RegisterProbe(d.trName, nil)
 	}
-	d.tr = tr
+	d.tr = sc.Trace
 	d.trName = name
-	if tr == nil {
-		return
+	if sc.Trace != nil {
+		sc.Trace.RegisterProbe(name, func(at int64, cyl, head, target int) (int64, int, int) {
+			t := sim.Time(at)
+			spt := d.params.Geom.SPTAt(cyl)
+			wait := d.rotateWait(t, d.params.Geom.SectorAngle(geom.CHS{Cyl: cyl, Head: head, Sector: target}))
+			next := d.params.Geom.ClosestSectorOnTrack(cyl, head, d.phase(t), 0)
+			slack := ((target-next)%spt + spt) % spt
+			return int64(wait), slack, spt
+		})
 	}
-	tr.RegisterProbe(name, func(at int64, cyl, head, target int) (int64, int, int) {
-		t := sim.Time(at)
-		spt := d.params.Geom.SPTAt(cyl)
-		wait := d.rotateWait(t, d.params.Geom.SectorAngle(geom.CHS{Cyl: cyl, Head: head, Sector: target}))
-		next := d.params.Geom.ClosestSectorOnTrack(cyl, head, d.phase(t), 0)
-		slack := ((target-next)%spt + spt) % spt
-		return int64(wait), slack, spt
-	})
+	d.lane = sc.Timeline.Lane("disk", name, laneStates)
+	d.registerMetrics(sc.Metrics, name)
 }
-
-// SetTimeline attaches the drive to a utilization-timeline aggregator under
-// the given component track, registering one occupancy lane whose states
-// (idle/fault/turnaround/overhead/seek/head_switch/settle/rotate_wait/
-// transfer) tile the drive's virtual time exactly. A nil aggregator leaves
-// the drive without a lane (all charging is a no-op). Call once per
-// aggregator, before the run.
-func (d *Disk) SetTimeline(a *timeline.Aggregator, name string) {
-	d.lane = a.Lane("disk", name, laneStates)
-}
-
-// ArmPosition returns the arm's resting cylinder and head after the last
-// completed command. Telemetry accessor for the periodic sampler — the
-// rotational phase stays hidden, so this gives drivers nothing the LBA of
-// their own last command didn't already.
-func (d *Disk) ArmPosition() (cyl, head int) { return d.armCyl, d.armHead }
 
 // Reattach rebinds the drive to a fresh environment after a simulated crash
 // and reboot. Media contents survive; arm position is arbitrary (we keep it)

@@ -2,12 +2,12 @@ package disk
 
 import "tracklog/internal/telemetry"
 
-// RegisterMetrics registers the drive's activity counters and virtual-time
+// registerMetrics registers the drive's activity counters and virtual-time
 // utilization on reg, labeled disk=name. All series read deterministic
 // virtual-time state (command counts, mechanical time breakdowns), so any
 // export of reg stays byte-comparable across same-seed runs. A nil
 // registry registers nothing.
-func (d *Disk) RegisterMetrics(reg *telemetry.Registry, name string) {
+func (d *Disk) registerMetrics(reg *telemetry.Registry, name string) {
 	if reg == nil {
 		return
 	}

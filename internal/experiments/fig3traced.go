@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"tracklog/internal/obs"
 	"tracklog/internal/span"
 	"tracklog/internal/trace"
 	"tracklog/internal/workload"
@@ -63,10 +64,10 @@ func Figure3Traced(cfg Figure3Config) (*Fig3TracedResult, error) {
 			return nil, err
 		}
 		tracer := trace.New(0)
-		tr.env.SetTracer(tracer)
-		tr.drv.SetTracer(tracer)
 		rec := span.NewRecorder(0)
-		tr.drv.SetRecorder(rec)
+		sc := obs.Scope{Trace: tracer, Spans: rec}
+		tr.env.SetScope(sc)
+		tr.drv.SetScope(sc)
 		tres, err := workload.RunSyncWrites(tr.env, tr.drv.Dev(0), workload.SyncWriteConfig{
 			Mode:             workload.Sparse,
 			WriteSize:        sizeKB * 1024,

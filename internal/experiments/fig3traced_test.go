@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"tracklog/internal/obs"
 	"tracklog/internal/trace"
 	"tracklog/internal/workload"
 )
@@ -69,9 +70,9 @@ func TestTracingDoesNotPerturbWorkload(t *testing.T) {
 		}
 		defer rig.env.Close()
 		if traced {
-			tr := trace.New(0)
-			rig.env.SetTracer(tr)
-			rig.drv.SetTracer(tr)
+			sc := obs.Scope{Trace: trace.New(0)}
+			rig.env.SetScope(sc)
+			rig.drv.SetScope(sc)
 		}
 		res, err := workload.RunSyncWrites(rig.env, rig.drv.Dev(0), workload.SyncWriteConfig{
 			Mode:             workload.Sparse,

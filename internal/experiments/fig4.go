@@ -8,6 +8,7 @@ import (
 	"tracklog/internal/blockdev"
 	"tracklog/internal/geom"
 	"tracklog/internal/metrics"
+	"tracklog/internal/obs"
 	"tracklog/internal/sched"
 	"tracklog/internal/sim"
 	"tracklog/internal/span"
@@ -142,9 +143,7 @@ func crashWithBacklog(q int, seed uint64, opts trail.RecoverOptions, rec *span.R
 		dd.Reattach(env)
 		id := blockdev.DevID{Major: 8, Minor: uint8(i)}
 		sd := stddisk.New(env, dd, id, sched.LOOK)
-		if rec != nil {
-			sd.SetRecorder(rec, fmt.Sprintf("data%d", i))
-		}
+		sd.SetScope(obs.Scope{Spans: rec}, fmt.Sprintf("data%d", i))
 		devs[id] = sd
 	}
 	var rep *trail.RecoverReport

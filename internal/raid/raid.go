@@ -16,6 +16,7 @@ import (
 	"tracklog/internal/blockdev"
 	"tracklog/internal/geom"
 	"tracklog/internal/metrics"
+	"tracklog/internal/obs"
 	"tracklog/internal/qos"
 	"tracklog/internal/sim"
 	"tracklog/internal/span"
@@ -63,11 +64,11 @@ type Array struct {
 	pol *qos.Policy
 	ctl *qos.Controller
 
-	tr     *trace.Tracer
-	trName string
-
-	rec     *span.Recorder
-	recName string
+	// Observers attached by SetScope (nil = off); name is the array's
+	// trace track and span device name.
+	tr   *trace.Tracer
+	rec  *span.Recorder
+	name string
 
 	// Timeline instruments (nil = disabled): stripe-lock occupancy as a
 	// time-weighted level and scrubber activity per bucket.
@@ -148,34 +149,27 @@ func (a *Array) Sectors() int64 {
 // Stats returns a copy of the counters.
 func (a *Array) Stats() Stats { return a.stats }
 
-// SetTracer attaches the array's repair activity (reconstructions, device
-// drops, scrub repairs) to a tracer under the given track name. The member
-// devices are traced separately by whoever built them. Pass nil to detach.
-func (a *Array) SetTracer(tr *trace.Tracer, name string) {
-	a.tr = tr
-	a.trName = name
-}
-
-// SetRecorder attaches a span recorder under the given device name (nil
-// detaches): each array read or write becomes one span tree whose children —
-// stripe-lock waits and member-device sub-operations (A = member index) —
-// exactly tile its latency. Member devices built over recorded drivers record
-// their own trees; the array tree sits above them, tied by timestamps.
-func (a *Array) SetRecorder(rec *span.Recorder, name string) {
-	a.rec = rec
-	a.recName = name
-}
-
-// SetTimeline attaches the array to a utilization-timeline aggregator under
-// the given track: stripe-lock occupancy as a time-weighted level, plus
-// per-bucket scrub passes, repairs, and yields. Member devices attach their
-// own lanes through whoever built them. A nil aggregator disables all of
-// it. Call once per aggregator, before the run.
-func (a *Array) SetTimeline(tl *timeline.Aggregator, name string) {
+// SetScope attaches the array to sc's observers under the given name: the
+// tracer sees repair activity (reconstructions, device drops, scrub
+// repairs); the span recorder turns each array read or write into one span
+// tree whose children (stripe-lock waits and member-device sub-operations,
+// A = member index) exactly tile its latency; the timeline gets stripe-lock
+// occupancy as a time-weighted level plus per-bucket scrub passes, repairs
+// and yields; the registry gets the workload counters, fault/repair
+// telemetry and degradation gauges, labeled array=name. Member devices are
+// attached separately by whoever built them (the array only sees the
+// blockdev interface); their span trees sit below the array's, tied by
+// timestamps. Call once per scope, before the run.
+func (a *Array) SetScope(sc obs.Scope, name string) {
+	a.tr = sc.Trace
+	a.rec = sc.Spans
+	a.name = name
+	tl := sc.Timeline
 	a.tlLocks = tl.Meter("raid", name, "stripe_locks_held")
 	a.tlScrubPasses = tl.Mark("raid", name, "scrub_passes")
 	a.tlScrubRepairs = tl.Mark("raid", name, "scrub_repairs")
 	a.tlScrubYld = tl.Mark("raid", name, "scrub_yields")
+	a.registerMetrics(sc.Metrics, name)
 }
 
 // SetQoS applies an overload policy to the array: client operations admit
@@ -204,19 +198,19 @@ func (a *Array) admit(p *sim.Proc, kind span.Kind, lba int64, count int, opts bl
 		return a.ctl.Release, nil
 	}
 	now := int64(p.Now())
-	rq := a.rec.Start(kind, "raid", a.recName, lba, count, now)
+	rq := a.rec.Start(kind, "raid", a.name, lba, count, now)
 	switch {
 	case blockdev.IsShed(err):
 		a.stats.Shed++
 		if a.tr != nil {
-			a.tr.Emit(trace.Event{At: now, Kind: trace.KShed, Track: a.trName,
+			a.tr.Emit(trace.Event{At: now, Kind: trace.KShed, Track: a.name,
 				LBA: lba, Count: count, A: int64(a.ctl.Waiting())})
 		}
 		rq.Point(span.PShed, now, int64(a.ctl.Waiting()), 0)
 	default:
 		a.stats.Expired++
 		if a.tr != nil {
-			a.tr.Emit(trace.Event{At: now, Kind: trace.KDeadline, Track: a.trName,
+			a.tr.Emit(trace.Event{At: now, Kind: trace.KDeadline, Track: a.name,
 				LBA: lba, Count: count})
 		}
 		rq.Point(span.PDeadline, now, 0, 0)
@@ -230,7 +224,7 @@ func (a *Array) admit(p *sim.Proc, kind span.Kind, lba int64, count int, opts bl
 func (a *Array) expire(p *sim.Proc, rq *span.Req, lba int64, count int, opts blockdev.Options) error {
 	a.stats.Expired++
 	if a.tr != nil {
-		a.tr.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KDeadline, Track: a.trName,
+		a.tr.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KDeadline, Track: a.name,
 			LBA: lba, Count: count})
 	}
 	rq.Point(span.PDeadline, int64(p.Now()), int64(p.Now().Sub(opts.Deadline)), 0)
@@ -351,7 +345,7 @@ func (a *Array) devRead(p *sim.Proc, dev int, devChunk int64, off, count int, op
 	case errors.Is(err, blockdev.ErrDeviceFailed):
 		if a.tr != nil {
 			a.tr.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KFault,
-				Track: a.trName, LBA: lba, Count: count, A: int64(dev)})
+				Track: a.name, LBA: lba, Count: count, A: int64(dev)})
 		}
 		if ferr := a.Fail(dev); ferr != nil {
 			return nil, ferr
@@ -374,7 +368,7 @@ func (a *Array) reconstruct(p *sim.Proc, dev int, lba int64, count int, opts blo
 	a.stats.Reconstructions++
 	if a.tr != nil {
 		a.tr.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KReconstruct,
-			Track: a.trName, LBA: lba, Count: count, A: int64(dev)})
+			Track: a.name, LBA: lba, Count: count, A: int64(dev)})
 	}
 	out := make([]byte, count*geom.SectorSize)
 	for i, d := range a.devs {
@@ -417,7 +411,7 @@ func (a *Array) devWrite(p *sim.Proc, dev int, devChunk int64, off int, data []b
 	case errors.Is(err, blockdev.ErrDeviceFailed):
 		if a.tr != nil {
 			a.tr.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KFault,
-				Track: a.trName, LBA: lba, Count: n, A: int64(dev)})
+				Track: a.name, LBA: lba, Count: n, A: int64(dev)})
 		}
 		if ferr := a.Fail(dev); ferr != nil {
 			return ferr
@@ -497,7 +491,7 @@ func (a *Array) ReadOpts(p *sim.Proc, lba int64, count int, opts blockdev.Option
 		return nil, err
 	}
 	defer release()
-	rq := a.rec.Start(span.KRead, "raid", a.recName, lba, count, int64(p.Now()))
+	rq := a.rec.Start(span.KRead, "raid", a.name, lba, count, int64(p.Now()))
 	out := make([]byte, 0, count*geom.SectorSize)
 	for count > 0 {
 		if opts.Expired(p.Now()) {
@@ -551,7 +545,7 @@ func (a *Array) WriteOpts(p *sim.Proc, lba int64, count int, data []byte, opts b
 	}
 	defer release()
 	ackLBA, ackCount := lba, count
-	rq := a.rec.Start(span.KWrite, "raid", a.recName, lba, count, int64(p.Now()))
+	rq := a.rec.Start(span.KWrite, "raid", a.name, lba, count, int64(p.Now()))
 	n := int64(len(a.devs))
 	stripeData := int64(a.chunk) * (n - 1) // logical sectors per stripe
 	for count > 0 {

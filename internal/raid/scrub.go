@@ -163,7 +163,7 @@ func (a *Array) repairSector(p *sim.Proc, dev int, slba int64, rep *ScrubReport)
 		a.tlScrubRepairs.Inc(int64(p.Now()))
 		if a.tr != nil {
 			a.tr.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KScrubRepair,
-				Track: a.trName, LBA: slba, Count: 1, A: int64(dev)})
+				Track: a.name, LBA: slba, Count: 1, A: int64(dev)})
 		}
 	case errors.Is(werr, blockdev.ErrDeviceFailed):
 		return werr

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tracklog/internal/geom"
+	"tracklog/internal/obs"
 	"tracklog/internal/sim"
 	"tracklog/internal/span"
 )
@@ -14,7 +15,7 @@ func TestArraySpanInvariant(t *testing.T) {
 	env, a, _ := newArray(t, 4, 8)
 	defer env.Close()
 	rec := span.NewRecorder(0)
-	a.SetRecorder(rec, "md0")
+	a.SetScope(obs.Scope{Spans: rec}, "md0")
 	run(env, func(p *sim.Proc) {
 		data := make([]byte, 24*geom.SectorSize)
 		for i := range data {

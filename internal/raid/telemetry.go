@@ -5,12 +5,11 @@ import (
 	"tracklog/internal/telemetry"
 )
 
-// RegisterMetrics registers the array's workload counters, fault/repair
+// registerMetrics registers the array's workload counters, fault/repair
 // telemetry (via the metrics bridge, matching the existing "raid.*"
-// exposition names), and degradation gauges on reg, labeled array=name.
-// Member devices are registered by the caller — the array only sees the
-// blockdev interface. A nil registry registers nothing.
-func (a *Array) RegisterMetrics(reg *telemetry.Registry, name string) {
+// exposition names), and degradation gauges on reg, labeled array=name. A
+// nil registry registers nothing.
+func (a *Array) registerMetrics(reg *telemetry.Registry, name string) {
 	if reg == nil {
 		return
 	}

@@ -15,6 +15,7 @@ import (
 
 	"tracklog/internal/blockdev"
 	"tracklog/internal/disk"
+	"tracklog/internal/obs"
 	"tracklog/internal/sim"
 	"tracklog/internal/timeline"
 	"tracklog/internal/trace"
@@ -157,25 +158,24 @@ func New(env *sim.Env, d *disk.Disk, policy Policy) *Queue {
 // Disk returns the drive this queue feeds.
 func (q *Queue) Disk() *disk.Disk { return q.disk }
 
-// SetTracer attaches the queue to a tracer under the given track name (nil
-// detaches): every enqueue and dispatch emits an event carrying the queue
-// depth, so queueing delay is visible per device in the exported trace.
-func (q *Queue) SetTracer(tr *trace.Tracer, name string) {
-	q.tr = tr
+// SetScope attaches the queue and its drive to sc's observers under the
+// given name. The tracer gets an event carrying the queue depth at every
+// enqueue and dispatch, so queueing delay is visible per device in the
+// exported trace. The timeline gets pending depth as a time-weighted level,
+// shed and expiry counts, and queue-wait nanoseconds charged to the bucket
+// each request is dispatched in. The registry gets the scheduling counters,
+// labeled disk=name. Call once per scope, before the run.
+func (q *Queue) SetScope(sc obs.Scope, name string) {
+	q.tr = sc.Trace
 	q.trName = name
-}
-
-// SetTimeline attaches the queue to a utilization-timeline aggregator under
-// the given track: pending depth as a time-weighted level, shed and expiry
-// counts, and queue-wait nanoseconds charged to the bucket each request is
-// dispatched in. A nil aggregator disables all of it. Call once per
-// aggregator, before the run.
-func (q *Queue) SetTimeline(a *timeline.Aggregator, name string) {
+	a := sc.Timeline
 	q.tlDepth = a.Meter("sched", name, "queue_depth")
 	q.tlShed = a.Mark("sched", name, "shed")
 	q.tlExpired = a.Mark("sched", name, "expired")
 	q.tlWaitNS = a.Mark("sched", name, "wait_ns")
 	q.tlDispatch = a.Mark("sched", name, "dispatches")
+	q.registerMetrics(sc.Metrics, name)
+	q.disk.SetScope(sc, name)
 }
 
 // noteDepth records the current pending depth on the timeline.

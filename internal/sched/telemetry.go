@@ -2,10 +2,9 @@ package sched
 
 import "tracklog/internal/telemetry"
 
-// RegisterMetrics registers the queue's scheduling counters on reg,
-// labeled disk=name, and registers the underlying drive under the same
-// label. A nil registry registers nothing.
-func (q *Queue) RegisterMetrics(reg *telemetry.Registry, name string) {
+// registerMetrics registers the queue's scheduling counters on reg,
+// labeled disk=name. A nil registry registers nothing.
+func (q *Queue) registerMetrics(reg *telemetry.Registry, name string) {
 	if reg == nil {
 		return
 	}
@@ -34,5 +33,4 @@ func (q *Queue) RegisterMetrics(reg *telemetry.Registry, name string) {
 	reg.GaugeFunc(telemetry.Prefix+"sched_queue_peak",
 		"Queued-request high-water mark.",
 		func() float64 { return float64(q.stats.MaxDepth) }, l)
-	q.disk.RegisterMetrics(reg, name)
 }

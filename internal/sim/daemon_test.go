@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"tracklog/internal/obs"
 	"tracklog/internal/trace"
 )
 
@@ -59,7 +60,7 @@ func TestTracerDoesNotPerturbVirtualTime(t *testing.T) {
 	run := func(tr *trace.Tracer) []Time {
 		env := NewEnv()
 		defer env.Close()
-		env.SetTracer(tr)
+		env.SetScope(obs.Scope{Trace: tr})
 		var stamps []Time
 		ev := NewEvent(env)
 		env.Go("a", func(p *Proc) {
@@ -93,7 +94,7 @@ func TestKernelEmitsLifecycleEvents(t *testing.T) {
 	tr := trace.New(0)
 	env := NewEnv()
 	defer env.Close()
-	env.SetTracer(tr)
+	env.SetScope(obs.Scope{Trace: tr})
 	env.Go("p1", func(p *Proc) { p.Sleep(time.Millisecond) })
 	env.Run()
 

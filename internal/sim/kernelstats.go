@@ -1,6 +1,9 @@
 package sim
 
-import "tracklog/internal/telemetry"
+import (
+	"tracklog/internal/obs"
+	"tracklog/internal/telemetry"
+)
 
 // Kernel self-observability.
 //
@@ -69,12 +72,18 @@ func (e *Env) KernelStats() KernelStats {
 	return s
 }
 
-// SetMetrics registers the kernel's self-observability series on reg and
-// attaches the dispatch-depth histogram handle. All series read
-// deterministic virtual-time state, so any export of reg is safe for
-// two-run byte compares. A nil registry detaches the histogram and
-// registers nothing — the instrumented hot path costs one nil check.
-func (e *Env) SetMetrics(reg *telemetry.Registry) {
+// SetScope attaches the kernel to sc's observers. The tracer sees process
+// schedule/block events. The timeline counts dispatched events per
+// virtual-time bucket under ("sim", "kernel"). The registry gets the
+// kernel's self-observability series and the dispatch-depth histogram; all
+// read deterministic virtual-time state, so any export of the registry is
+// safe for two-run byte compares. Observation never changes virtual-time
+// behaviour, and a zero Scope leaves the hot path at one nil check per
+// observer.
+func (e *Env) SetScope(sc obs.Scope) {
+	e.tracer = sc.Trace
+	e.tlDispatch = sc.Timeline.Mark("sim", "kernel", "events_dispatched")
+	reg := sc.Metrics
 	e.mDispatchDepth = reg.Histogram(
 		telemetry.Prefix+"sim_dispatch_queue_depth",
 		"Event-queue depth observed at each dispatch.",

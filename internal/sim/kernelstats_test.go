@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"tracklog/internal/obs"
 	"tracklog/internal/telemetry"
 )
 
@@ -76,7 +77,7 @@ func TestSetMetricsExportDeterministic(t *testing.T) {
 		env := NewEnv()
 		defer env.Close()
 		reg := telemetry.NewRegistry()
-		env.SetMetrics(reg)
+		env.SetScope(obs.Scope{Metrics: reg})
 		kernelWorkload(env)
 		var sb strings.Builder
 		if err := reg.WriteProm(&sb); err != nil {
@@ -116,8 +117,8 @@ func TestSetMetricsDoesNotPerturbSimulation(t *testing.T) {
 		return env.Now(), env.KernelStats()
 	}
 	plainT, plainKS := run(func(*Env) {})
-	nilT, nilKS := run(func(env *Env) { env.SetMetrics(nil) })
-	regT, regKS := run(func(env *Env) { env.SetMetrics(telemetry.NewRegistry()) })
+	nilT, nilKS := run(func(env *Env) { env.SetScope(obs.Scope{}) })
+	regT, regKS := run(func(env *Env) { env.SetScope(obs.Scope{Metrics: telemetry.NewRegistry()}) })
 	if plainT != nilT || plainT != regT {
 		t.Errorf("final times diverge: plain=%v nil=%v reg=%v", plainT, nilT, regT)
 	}

@@ -98,7 +98,7 @@ type Env struct {
 	//lint:allow snapshotguard pausedProc is nil outside a probe-hook pause; snapshots are taken from the hook, where the pause is the caller's own frame
 	pausedProc *Proc
 
-	// tracer, when non-nil, observes process scheduling (see SetTracer).
+	// tracer, when non-nil, observes process scheduling (see SetScope).
 	// Hooks never touch the clock or the queue, so a traced run is
 	// bit-identical in virtual time to an untraced one.
 	tracer *trace.Tracer
@@ -106,12 +106,12 @@ type Env struct {
 	// kstats counts the kernel's own work (see kernelstats.go). Always on:
 	// the counters are deterministic functions of the event schedule.
 	// mDispatchDepth, when non-nil, receives the queue depth at each
-	// dispatch (attached via SetMetrics).
+	// dispatch (attached via SetScope).
 	//lint:allow snapshotguard kstats is host-side self-observability, deliberately outside the replay fingerprint (restore is verify-by-byte-compare)
 	kstats         KernelStats
 	mDispatchDepth *telemetry.Histogram
 	// tlDispatch, when non-nil, counts dispatched events per virtual-time
-	// bucket (attached via SetTimeline).
+	// bucket (attached via SetScope).
 	tlDispatch *timeline.Mark
 
 	// kernelPanic holds a panic propagated from a process goroutine; Run
@@ -130,22 +130,6 @@ func NewEnv() *Env {
 
 // Now returns the current virtual time.
 func (e *Env) Now() Time { return e.now }
-
-// SetTracer attaches (or with nil, detaches) an event tracer. The kernel
-// emits process schedule/block events; tracing is purely observational and
-// never changes virtual-time behaviour.
-func (e *Env) SetTracer(tr *trace.Tracer) { e.tracer = tr }
-
-// SetTimeline attaches the kernel's own dispatch activity to a
-// utilization-timeline aggregator: events dispatched per virtual-time bucket
-// under ("sim", "kernel"). A nil aggregator disables it; observation never
-// changes virtual-time behaviour.
-func (e *Env) SetTimeline(a *timeline.Aggregator) {
-	e.tlDispatch = a.Mark("sim", "kernel", "events_dispatched")
-}
-
-// Tracer returns the attached tracer (nil when tracing is disabled).
-func (e *Env) Tracer() *trace.Tracer { return e.tracer }
 
 // Go spawns a new simulated process named name. The process starts when the
 // kernel next reaches the current virtual time in its queue (i.e. after the
@@ -185,7 +169,6 @@ func (e *Env) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 		e.tracer.Emit(trace.Event{At: int64(e.now), Kind: trace.KProcStart, Track: name})
 	}
 	go func() {
-		<-p.resume
 		defer func() {
 			if r := recover(); r != nil {
 				if kp, ok := r.(killedPanic); ok && kp.p == p {
@@ -205,6 +188,11 @@ func (e *Env) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 				return
 			}
 		}()
+		<-p.resume
+		if p.killed {
+			// Closed before its first step: unwind without running fn.
+			panic(killedPanic{p: p})
+		}
 		fn(p)
 		p.state = procDone
 		delete(e.procs, p.id)

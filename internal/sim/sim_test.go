@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -250,6 +251,31 @@ func TestCloseUnwindsParkedProcesses(t *testing.T) {
 	env.Close()
 	if !cleaned {
 		t.Error("deferred cleanup did not run on Close")
+	}
+}
+
+// A process spawned but never started must not run after the power cut:
+// Close unwinds it before its body, and its goroutine exits.
+func TestCloseNeverStartsUnstartedProcesses(t *testing.T) {
+	base := runtime.NumGoroutine()
+	ran := 0
+	for i := 0; i < 50; i++ {
+		env := NewEnv()
+		env.Go("unstarted", func(p *Proc) {
+			ran++
+			p.Sleep(time.Millisecond)
+		})
+		env.Close()
+	}
+	if ran != 0 {
+		t.Errorf("body ran %d times after Close", ran)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("goroutines: %d before, %d after 50 Go+Close cycles", base, n)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"tracklog/internal/fault"
 	"tracklog/internal/geom"
+	"tracklog/internal/obs"
 	"tracklog/internal/sim"
 	"tracklog/internal/span"
 )
@@ -18,7 +19,7 @@ func TestDeviceSpanInvariant(t *testing.T) {
 	dev, d := newDev(env)
 	fault.Attach(d, sim.NewRand(9), fault.Config{Timeouts: 2, TimeoutWindow: 30})
 	rec := span.NewRecorder(0)
-	dev.SetRecorder(rec, "disk0")
+	dev.SetScope(obs.Scope{Spans: rec}, "disk0")
 
 	for w := 0; w < 4; w++ {
 		w := w

@@ -11,11 +11,11 @@ import (
 
 	"tracklog/internal/blockdev"
 	"tracklog/internal/disk"
+	"tracklog/internal/obs"
 	"tracklog/internal/qos"
 	"tracklog/internal/sched"
 	"tracklog/internal/sim"
 	"tracklog/internal/span"
-	"tracklog/internal/timeline"
 	"tracklog/internal/trace"
 )
 
@@ -41,12 +41,13 @@ type Device struct {
 	stats Stats
 	pol   *qos.Policy
 
-	tr     *trace.Tracer
-	trName string
-
-	rec     *span.Recorder
-	recName string
-	rot     time.Duration
+	// Observers attached by SetScope (nil = off); name is the device's
+	// trace track and span device name, rot the drive's revolution time
+	// stamped on rotational-wait spans.
+	tr   *trace.Tracer
+	rec  *span.Recorder
+	name string
+	rot  time.Duration
 }
 
 var (
@@ -61,6 +62,7 @@ func New(env *sim.Env, d *disk.Disk, id blockdev.DevID, policy sched.Policy) *De
 		id:    id,
 		queue: sched.New(env, d, policy),
 		size:  d.Geom().TotalSectors(),
+		rot:   d.Params().RotPeriod(),
 	}
 }
 
@@ -82,37 +84,23 @@ func (d *Device) SetQoS(pol *qos.Policy) {
 	d.queue.SetMaxDepth(pol.DepthBound())
 }
 
-// SetTracer attaches the device — its drive, its scheduler queue, and its
-// own retry decisions — to a tracer under the given track name. Pass nil to
-// detach.
-func (d *Device) SetTracer(tr *trace.Tracer, name string) {
-	d.tr = tr
-	d.trName = name
-	d.queue.SetTracer(tr, name)
-	d.queue.Disk().SetTracer(tr, name)
-}
-
-// SetTimeline attaches the device's drive (mechanical-state lane) and
-// scheduler queue (depth/wait/shed series) to a utilization-timeline
-// aggregator under the given track. A nil aggregator disables both. Call
-// once per aggregator, before the run.
-func (d *Device) SetTimeline(a *timeline.Aggregator, name string) {
-	d.queue.SetTimeline(a, name)
-	d.queue.Disk().SetTimeline(a, name)
+// SetScope attaches the device, its scheduler queue and its drive to sc's
+// observers under the given name. The tracer also sees the device's own
+// retry decisions; the span recorder turns every client command into one
+// span tree whose children (queue wait, retries, and the drive's mechanical
+// phases) exactly tile its end-to-end latency; the registry gets the
+// retry/failure counters, labeled disk=name. Call once per scope, before
+// the run.
+func (d *Device) SetScope(sc obs.Scope, name string) {
+	d.tr = sc.Trace
+	d.rec = sc.Spans
+	d.name = name
+	d.registerMetrics(sc.Metrics, name)
+	d.queue.SetScope(sc, name)
 }
 
 // Stats returns a copy of the fault-handling counters.
 func (d *Device) Stats() Stats { return d.stats }
-
-// SetRecorder attaches a span recorder under the given device name (nil
-// detaches): every client command becomes one span tree whose children —
-// queue wait, retries, and the drive's mechanical phases — exactly tile its
-// end-to-end latency.
-func (d *Device) SetRecorder(rec *span.Recorder, name string) {
-	d.rec = rec
-	d.recName = name
-	d.rot = d.queue.Disk().Params().RotPeriod()
-}
 
 // do issues one command with bounded retry on transient failures. Each
 // retry is a full re-issue through the scheduler, so the head repositions
@@ -135,14 +123,14 @@ func (d *Device) do(p *sim.Proc, verb string, opts blockdev.Options, mk func() *
 				kind = span.KWrite
 			}
 			cursor = int64(p.Now())
-			rq = d.rec.Start(kind, "std", d.recName, req.LBA, req.Count, cursor)
+			rq = d.rec.Start(kind, "std", d.name, req.LBA, req.Count, cursor)
 		}
 		d.queue.Do(p, req)
 		res := req.Result
 		rq.ChildAB(span.PQueue, cursor, int64(res.Start),
 			int64(req.DepthAtSubmit), int64(req.WritesAhead))
 		if req.Err == nil {
-			rq.Command(span.FromResult(&res, d.rot))
+			rq.Command(res.Breakdown(d.rot))
 			rq.Finish(int64(res.End), false)
 			return req, nil
 		}
@@ -171,7 +159,7 @@ func (d *Device) do(p *sim.Proc, verb string, opts blockdev.Options, mk func() *
 			d.stats.Retries++
 			if d.tr != nil {
 				d.tr.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KRetry,
-					Track: d.trName, LBA: req.LBA, Count: req.Count, A: int64(attempt + 1)})
+					Track: d.name, LBA: req.LBA, Count: req.Count, A: int64(attempt + 1)})
 			}
 			continue
 		}

@@ -2,10 +2,9 @@ package stddisk
 
 import "tracklog/internal/telemetry"
 
-// RegisterMetrics registers the device's retry/failure counters on reg,
-// labeled disk=name, along with its scheduler queue and drive. A nil
-// registry registers nothing.
-func (d *Device) RegisterMetrics(reg *telemetry.Registry, name string) {
+// registerMetrics registers the device's retry/failure counters on reg,
+// labeled disk=name. A nil registry registers nothing.
+func (d *Device) registerMetrics(reg *telemetry.Registry, name string) {
 	if reg == nil {
 		return
 	}
@@ -16,5 +15,4 @@ func (d *Device) RegisterMetrics(reg *telemetry.Registry, name string) {
 	reg.CounterFunc(telemetry.Prefix+"stddisk_failures_total",
 		"Commands surfaced to the client as errors.",
 		func() int64 { return d.stats.Failures }, l)
-	d.queue.RegisterMetrics(reg, name)
 }

@@ -40,8 +40,8 @@ func CounterName(name string) string {
 	return n
 }
 
-// FormatValue renders a sample value in shortest exact form, matching the
-// trace sampler's CSV/JSON formatting so all exports agree byte-for-byte.
+// FormatValue renders a sample value in shortest exact form, so all exports
+// agree byte-for-byte.
 func FormatValue(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // escapeHelp escapes a HELP string per the exposition format: backslash

@@ -1,8 +1,7 @@
 // Package trace implements deterministic, virtual-time event tracing for the
 // whole storage stack: a ring-buffered structured tracer with typed events,
 // a prediction-accuracy audit for the Trail driver's head-position scheme,
-// and machine-readable exporters (Chrome trace-event JSON for Perfetto, and
-// CSV/JSON time series from the periodic sampler).
+// and a machine-readable exporter (Chrome trace-event JSON for Perfetto).
 //
 // Design constraints, in order:
 //
@@ -211,7 +210,7 @@ func (t *Tracer) Events() []Event {
 }
 
 // RegisterProbe installs the head-position ground-truth probe for the named
-// device track. The disk model calls this from SetTracer; nothing else
+// device track. The disk model calls this from SetScope; nothing else
 // should.
 func (t *Tracer) RegisterProbe(track string, p HeadProbe) {
 	if t == nil {

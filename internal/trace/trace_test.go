@@ -232,57 +232,6 @@ func TestUsecFormatting(t *testing.T) {
 	}
 }
 
-func TestSamplerCSVAndJSON(t *testing.T) {
-	s := NewSampler("depth", "cyl")
-	s.Record(0, 1, 100)
-	s.Record(5_000_000, 2.5, 200)
-	s.Record(10_000_000, 0) // short row: zero-filled
-
-	var csv bytes.Buffer
-	if err := s.WriteCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	want := "time_ms,depth,cyl\n0.000,1,100\n5.000,2.5,200\n10.000,0,0\n"
-	if csv.String() != want {
-		t.Fatalf("CSV:\n%s\nwant:\n%s", csv.String(), want)
-	}
-
-	var js bytes.Buffer
-	if err := s.WriteJSON(&js); err != nil {
-		t.Fatal(err)
-	}
-	var parsed struct {
-		Columns []string    `json:"columns"`
-		Rows    [][]float64 `json:"rows"`
-	}
-	if err := json.Unmarshal(js.Bytes(), &parsed); err != nil {
-		t.Fatalf("sampler JSON invalid: %v\n%s", err, js.String())
-	}
-	if len(parsed.Columns) != 3 || parsed.Columns[0] != "time_ms" {
-		t.Fatalf("columns = %v", parsed.Columns)
-	}
-	if len(parsed.Rows) != 3 || parsed.Rows[1][1] != 2.5 {
-		t.Fatalf("rows = %v", parsed.Rows)
-	}
-
-	// Determinism: a second export is byte-identical.
-	var js2 bytes.Buffer
-	if err := s.WriteJSON(&js2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(js.Bytes(), js2.Bytes()) {
-		t.Fatal("two sampler JSON exports differ")
-	}
-}
-
-func TestNilSamplerSafe(t *testing.T) {
-	var s *Sampler
-	s.Record(0, 1)
-	if s.Rows() != 0 {
-		t.Fatal("nil sampler recorded a row")
-	}
-}
-
 func TestKindNamesComplete(t *testing.T) {
 	for k := KSeek; k <= KBlock; k++ {
 		if k.String() == "unknown" {

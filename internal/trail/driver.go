@@ -10,6 +10,7 @@ import (
 	"tracklog/internal/disk"
 	"tracklog/internal/geom"
 	"tracklog/internal/metrics"
+	"tracklog/internal/obs"
 	"tracklog/internal/qos"
 	"tracklog/internal/sched"
 	"tracklog/internal/sim"
@@ -271,8 +272,7 @@ type logDisk struct {
 	// has exited and the allocator never touches it again.
 	dead bool
 
-	// trName is the tracer track this disk's events land on ("logN");
-	// empty while tracing is detached.
+	// trName is the observer track this disk reports under ("logN").
 	trName string
 
 	// lastRepoStart/End bound the most recent track reposition, so the span
@@ -325,23 +325,21 @@ type Driver struct {
 	// subsequent writes fail with it immediately.
 	failed error
 
-	// tr observes driver decisions when tracing is enabled (nil otherwise);
-	// dataNames are the tracer track names of the data disks.
+	// tr observes driver decisions when tracing is enabled and rec records
+	// per-request span trees when attached (nil otherwise); dataNames are
+	// the observer track names of the data disks ("dataN").
 	tr        *trace.Tracer
+	rec       *span.Recorder
 	dataNames []string
 
-	// rec records per-request span trees when attached (nil otherwise);
-	// spanNames are the span device names of the data disks.
-	rec       *span.Recorder
-	spanNames []string
-
 	// probeNames are the per-data-disk component names probe events report
-	// under (always populated, unlike the tracer/recorder name lists).
+	// under ("trail-dataN").
 	probeNames []string
 
 	// Timeline instruments (nil = disabled): driver-level levels and
 	// per-bucket event counts. Device lanes live on the disks and queues.
 	tlLogQ, tlStaged, tlFlights      *timeline.Meter
+	tlOutstanding                    *timeline.Meter
 	tlShed, tlThrottle, tlThrottleNS *timeline.Mark
 	tlStagingFlush, tlWriteBacks     *timeline.Mark
 }
@@ -412,6 +410,7 @@ func NewDriverMulti(env *sim.Env, logs []*disk.Disk, data []*disk.Disk, cfg Conf
 			spaceFreed:    sim.NewCond(env),
 			pred:          NewPredictor(lg.Params().RotPeriod()),
 			lastRecordLBA: -1,
+			trName:        fmt.Sprintf("log%d", i),
 		}
 		ld.busyCount = make([]int, len(ld.usable))
 		_, _, spt := ld.tailTrack()
@@ -422,6 +421,7 @@ func NewDriverMulti(env *sim.Env, logs []*disk.Disk, data []*disk.Disk, cfg Conf
 		d.dataDisks = append(d.dataDisks, dd)
 		d.dataQueues = append(d.dataQueues, sched.New(env, dd, cfg.DataPolicy))
 		d.devIDs = append(d.devIDs, blockdev.DevID{Major: 8, Minor: uint8(i)})
+		d.dataNames = append(d.dataNames, fmt.Sprintf("data%d", i))
 		d.probeNames = append(d.probeNames, fmt.Sprintf("trail-data%d", i))
 		q := sim.NewQueue[bufKey](env)
 		d.wbQueues = append(d.wbQueues, q)
@@ -449,69 +449,43 @@ func NewDriverMulti(env *sim.Env, logs []*disk.Disk, data []*disk.Disk, cfg Conf
 	return d, nil
 }
 
-// SetTracer attaches tr to the driver and every device beneath it: log disks
-// trace as "logN", data disks and their scheduler queues as "dataN". Beyond
-// device-level events, the driver itself records its log-write placement
-// decisions: each record write emits a prediction-audit sample comparing the
-// driver's predicted landing sector against the simulator's true head
-// position (which the driver itself can never observe — the audit lives
-// entirely in the tracer). Pass nil to detach.
-func (d *Driver) SetTracer(tr *trace.Tracer) {
-	d.tr = tr
-	for _, ld := range d.logs {
-		ld.trName = fmt.Sprintf("log%d", ld.idx)
-		ld.disk.SetTracer(tr, ld.trName)
-	}
-	d.dataNames = d.dataNames[:0]
-	for i, dd := range d.dataDisks {
-		name := fmt.Sprintf("data%d", i)
-		d.dataNames = append(d.dataNames, name)
-		dd.SetTracer(tr, name)
-		d.dataQueues[i].SetTracer(tr, name)
-	}
-}
-
-// SetRecorder attaches a span recorder to the driver and its data-disk read
-// path: every client write and read becomes one span tree whose children —
-// log-queue wait, track-switch stalls, retries, and the serving command's
-// mechanical phases — exactly tile its end-to-end latency. Write-back and
-// recovery record their own trees (see writebackLoop and RecoverOptions).
-// Pass nil to detach.
-func (d *Driver) SetRecorder(rec *span.Recorder) {
-	d.rec = rec
-	d.spanNames = d.spanNames[:0]
-	for i := range d.dataDisks {
-		d.spanNames = append(d.spanNames, fmt.Sprintf("data%d", i))
-	}
-}
-
-// Recorder returns the attached span recorder (nil when detached).
-func (d *Driver) Recorder() *span.Recorder { return d.rec }
-
-// SetTimeline attaches a utilization-timeline aggregator to the driver and
-// every device beneath it: log disks get mechanical-state lanes as "logN",
-// data disks and their scheduler queues as "dataN", and the driver itself
-// contributes its shared levels (log-queue depth, staged bytes, in-flight
-// write-backs) and per-bucket event counts (sheds, throttle stalls and
-// nanoseconds, staging flushes, completed write-backs) under the
-// trail/driver track. A nil aggregator leaves everything disabled. Call
-// once per aggregator, before the run.
-func (d *Driver) SetTimeline(a *timeline.Aggregator) {
+// SetScope attaches sc's observers to the driver and every device beneath
+// it: log disks report as "logN", data disks and their scheduler queues as
+// "dataN".
+//
+// Beyond device-level events, the tracer sees the driver's log-write
+// placement decisions: each record write emits a prediction-audit sample
+// comparing the driver's predicted landing sector against the simulator's
+// true head position (which the driver itself can never observe; the audit
+// lives entirely in the tracer). The span recorder turns every client write
+// and read into one span tree whose children (log-queue wait, track-switch
+// stalls, retries, and the serving command's mechanical phases) exactly
+// tile its end-to-end latency; write-back and recovery record their own
+// trees (see writebackLoop and RecoverOptions). The timeline gets the
+// driver's shared levels (log-queue depth, staged bytes, outstanding
+// records, in-flight write-backs) and per-bucket event counts (sheds,
+// throttle stalls and nanoseconds, staging flushes, completed write-backs)
+// under the trail/driver track. The registry gets every Stats counter and
+// the live queue and staging gauges. Call once per scope, before the run.
+func (d *Driver) SetScope(sc obs.Scope) {
+	d.tr = sc.Trace
+	d.rec = sc.Spans
+	a := sc.Timeline
 	d.tlLogQ = a.Meter("trail", "driver", "log_queue_depth")
 	d.tlStaged = a.Meter("trail", "driver", "staged_bytes")
+	d.tlOutstanding = a.Meter("trail", "driver", "outstanding_records")
 	d.tlFlights = a.Meter("trail", "driver", "wb_flights")
 	d.tlShed = a.Mark("trail", "driver", "shed_writes")
 	d.tlThrottle = a.Mark("trail", "driver", "throttle_stalls")
 	d.tlThrottleNS = a.Mark("trail", "driver", "throttle_ns")
 	d.tlStagingFlush = a.Mark("trail", "driver", "staging_flush")
 	d.tlWriteBacks = a.Mark("trail", "driver", "writebacks")
+	d.registerMetrics(sc.Metrics)
 	for _, ld := range d.logs {
-		ld.disk.SetTimeline(a, fmt.Sprintf("log%d", ld.idx))
+		ld.disk.SetScope(sc, ld.trName)
 	}
-	for i, dd := range d.dataDisks {
-		name := fmt.Sprintf("data%d", i)
-		dd.SetTimeline(a, name)
-		d.dataQueues[i].SetTimeline(a, name)
+	for i, q := range d.dataQueues {
+		q.SetScope(sc, d.dataNames[i])
 	}
 }
 
@@ -523,9 +497,6 @@ func (d *Driver) Epoch() uint32 { return d.epoch }
 
 // NumLogDisks returns the number of log disks behind the driver.
 func (d *Driver) NumLogDisks() int { return len(d.logs) }
-
-// LogDisk returns log disk idx, for telemetry (arm position sampling).
-func (d *Driver) LogDisk(idx int) *disk.Disk { return d.logs[idx].disk }
 
 // LogQueueLen returns the number of client writes waiting for a log writer.
 func (d *Driver) LogQueueLen() int { return len(d.logQ) }
@@ -609,7 +580,7 @@ func (d *Driver) shedWrite(p *sim.Proc, devIdx int, lba int64, count int) error 
 	}
 	if d.rec != nil {
 		now := int64(p.Now())
-		rq := d.rec.Start(span.KWrite, "trail", d.spanNames[devIdx], lba, count, now)
+		rq := d.rec.Start(span.KWrite, "trail", d.dataNames[devIdx], lba, count, now)
 		rq.Point(span.PShed, now, int64(len(d.logQ)), 0)
 		rq.Finish(now, true)
 	}
@@ -665,7 +636,7 @@ func (d *Driver) recordThrottle(p *sim.Proc, devIdx int, lba int64, count int,
 	if d.rec != nil && expired {
 		// The write never reached the log queue: its whole story is the
 		// throttle stall ending at its deadline.
-		rq := d.rec.Start(span.KWrite, "trail", d.spanNames[devIdx], lba, count, int64(start))
+		rq := d.rec.Start(span.KWrite, "trail", d.dataNames[devIdx], lba, count, int64(start))
 		rq.ChildAB(span.PThrottle, int64(start), int64(p.Now()), staged, 0)
 		rq.Point(span.PDeadline, int64(p.Now()), int64(p.Now().Sub(deadline)), 0)
 		rq.Finish(int64(p.Now()), true)
@@ -727,7 +698,7 @@ func (d *Driver) write(p *sim.Proc, devIdx int, lba int64, count int, data []byt
 		if d.rec != nil {
 			pw.qdepth = len(d.logQ)
 			pw.cursor = int64(pw.queued)
-			pw.rq = d.rec.Start(span.KWrite, "trail", d.spanNames[devIdx], pw.lba, n, pw.cursor)
+			pw.rq = d.rec.Start(span.KWrite, "trail", d.dataNames[devIdx], pw.lba, n, pw.cursor)
 		}
 		d.logQ = append(d.logQ, pw)
 		waits = append(waits, pw)
@@ -769,7 +740,7 @@ func (d *Driver) read(p *sim.Proc, devIdx int, lba int64, count int, opts blockd
 	var cursor int64
 	if d.rec != nil {
 		cursor = int64(p.Now())
-		rq = d.rec.Start(span.KRead, "trail", d.spanNames[devIdx], lba, count, cursor)
+		rq = d.rec.Start(span.KRead, "trail", d.dataNames[devIdx], lba, count, cursor)
 	}
 	retryBudget := d.cfg.QoS.RetryBudget(opts.Class, maxReadRetries+1) - 1
 	for attempt := 0; ; attempt++ {
@@ -779,7 +750,7 @@ func (d *Driver) read(p *sim.Proc, devIdx int, lba int64, count int, opts blockd
 		rq.ChildAB(span.PQueue, cursor, int64(res.Start),
 			int64(req.DepthAtSubmit), int64(req.WritesAhead))
 		if req.Err == nil {
-			rq.Command(span.FromResult(&res, d.dataDisks[devIdx].Params().RotPeriod()))
+			rq.Command(res.Breakdown(d.dataDisks[devIdx].Params().RotPeriod()))
 			rq.Finish(int64(res.End), false)
 			// Staging may have changed while the read was queued.
 			hits, _ := d.stagedOverlaps(devIdx, lba, count)
@@ -822,7 +793,7 @@ func (d *Driver) recordStagingHit(p *sim.Proc, devIdx int, lba int64, count int)
 		return
 	}
 	now := int64(p.Now())
-	rq := d.rec.Start(span.KRead, "trail", d.spanNames[devIdx], lba, count, now)
+	rq := d.rec.Start(span.KRead, "trail", d.dataNames[devIdx], lba, count, now)
 	rq.Point(span.PStaging, now, 0, 0)
 	rq.Finish(now, false)
 }
@@ -1258,6 +1229,7 @@ func (d *Driver) writeRecord(p *sim.Proc, ld *logDisk, target int, batch []*pend
 	}
 	ld.outstanding = append(ld.outstanding, rec)
 	d.liveRecords++
+	d.tlOutstanding.Set(float64(d.liveRecords), int64(p.Now()))
 	ld.busyCount[ld.posIdx]++
 	ld.lastRecordLBA = headerLBA
 	for s := target; s < target+1+total; s++ {
@@ -1272,7 +1244,7 @@ func (d *Driver) writeRecord(p *sim.Proc, ld *logDisk, target int, batch []*pend
 	for _, pw := range batch {
 		if pw.rq != nil {
 			d.attributeDispatch(pw, ld, int64(res.Start))
-			pw.rq.Command(span.FromResult(&res, ld.disk.Params().RotPeriod()))
+			pw.rq.Command(res.Breakdown(ld.disk.Params().RotPeriod()))
 			pw.rq.Finish(int64(res.End), false)
 		}
 		d.stage(pw, rec)

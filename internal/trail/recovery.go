@@ -390,6 +390,13 @@ func rebuildChain(p *sim.Proc, log *disk.Disk, epoch uint32, youngest *loadedRec
 		if err != nil {
 			return nil, torn, err
 		}
+		if rec.hdr.Seq >= cur.hdr.Seq {
+			// Predecessors are strictly older. A pointer to a record that
+			// is not (the log wrapped onto space the chain still names)
+			// would cycle forever through cached tracks without
+			// advancing virtual time, so the chain ends here.
+			break
+		}
 		records = append(records, rec)
 		cur = rec
 	}

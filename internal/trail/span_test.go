@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"tracklog/internal/fault"
+	"tracklog/internal/obs"
 	"tracklog/internal/sim"
 	"tracklog/internal/span"
 )
@@ -68,7 +69,7 @@ func TestSpanAttributionInvariant(t *testing.T) {
 	r := newRig(t, 1, Config{UtilizationThreshold: 0.10})
 	defer r.env.Close()
 	rec := span.NewRecorder(0)
-	r.drv.SetRecorder(rec)
+	r.drv.SetScope(obs.Scope{Spans: rec})
 	spanWorkload(r)
 	r.env.Run()
 
@@ -126,7 +127,7 @@ func TestSpanAttributionInvariantUnderFaults(t *testing.T) {
 	fault.Attach(r.log, sim.NewRand(42), fault.Config{Timeouts: 3, TimeoutWindow: 40})
 	fault.Attach(r.data[0], sim.NewRand(17), fault.Config{Timeouts: 2, TimeoutWindow: 40})
 	rec := span.NewRecorder(0)
-	r.drv.SetRecorder(rec)
+	r.drv.SetScope(obs.Scope{Spans: rec})
 	spanWorkload(r)
 	r.env.Run()
 
@@ -152,7 +153,7 @@ func TestSpanDumpsDeterministic(t *testing.T) {
 		r := newRig(t, 1, Config{UtilizationThreshold: 0.10})
 		defer r.env.Close()
 		rec := span.NewRecorder(0)
-		r.drv.SetRecorder(rec)
+		r.drv.SetScope(obs.Scope{Spans: rec})
 		spanWorkload(r)
 		r.env.Run()
 		var j, c bytes.Buffer

@@ -155,7 +155,7 @@ func (d *Driver) writebackLoop(p *sim.Proc, devIdx int) {
 			f.req = &sched.Request{Write: true, LBA: key.lba, Count: e.count, Data: data}
 			if d.rec != nil {
 				f.cursor = int64(p.Now())
-				f.rq = d.rec.Start(span.KWriteback, "trail", d.spanNames[devIdx],
+				f.rq = d.rec.Start(span.KWriteback, "trail", d.dataNames[devIdx],
 					key.lba, e.count, f.cursor)
 				// Flow edges tie the flight back to the client writes whose
 				// data it commits.
@@ -212,7 +212,7 @@ func (d *Driver) writebackLoop(p *sim.Proc, devIdx int) {
 			}
 			if f.rq != nil {
 				res := f.req.Result
-				f.rq.Command(span.FromResult(&res, d.dataDisks[devIdx].Params().RotPeriod()))
+				f.rq.Command(res.Breakdown(d.dataDisks[devIdx].Params().RotPeriod()))
 				f.rq.Finish(int64(res.End), false)
 			}
 			d.stats.WriteBacks++
@@ -272,6 +272,7 @@ func (d *Driver) commitRef(ref recordRef) {
 	}
 	r.done = true
 	d.liveRecords--
+	d.tlOutstanding.Set(float64(d.liveRecords), int64(d.env.Now()))
 	ld := r.log
 	ld.busyCount[r.trackIdx]--
 	if ld.busyCount[r.trackIdx] == 0 {

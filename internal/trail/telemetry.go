@@ -1,18 +1,15 @@
 package trail
 
 import (
-	"fmt"
-
 	"tracklog/internal/metrics"
 	"tracklog/internal/telemetry"
 )
 
-// RegisterMetrics registers the driver's full telemetry on reg: every
-// Stats counter (via the metrics bridge, so names match the existing
-// "trail.*" exposition), live queue/staging gauges, and every member disk
-// — log disks as log0..logN, data disks as data0..dataN — including their
-// virtual-time utilization. A nil registry registers nothing.
-func (d *Driver) RegisterMetrics(reg *telemetry.Registry) {
+// registerMetrics registers the driver's own telemetry on reg: every Stats
+// counter (via the metrics bridge, so names match the existing "trail.*"
+// exposition) and the live queue/staging gauges. A nil registry registers
+// nothing.
+func (d *Driver) registerMetrics(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
@@ -29,10 +26,4 @@ func (d *Driver) RegisterMetrics(reg *telemetry.Registry) {
 	reg.GaugeFunc(telemetry.Prefix+"trail_avg_track_utilization",
 		"Mean per-track space utilization over filled-and-left tracks.",
 		func() float64 { return d.stats.AvgTrackUtilization() })
-	for i, ld := range d.logs {
-		ld.disk.RegisterMetrics(reg, fmt.Sprintf("log%d", i))
-	}
-	for i, q := range d.dataQueues {
-		q.RegisterMetrics(reg, fmt.Sprintf("data%d", i))
-	}
 }

@@ -1,10 +1,15 @@
 package txn
 
-import "tracklog/internal/telemetry"
+import (
+	"tracklog/internal/obs"
+	"tracklog/internal/telemetry"
+)
 
-// RegisterMetrics registers the transaction manager's lifecycle and lock
-// counters on reg. A nil registry registers nothing.
-func (m *Manager) RegisterMetrics(reg *telemetry.Registry) {
+// SetScope registers the transaction manager's lifecycle and lock counters
+// on sc's registry; the manager reports to no other observer. Call once per
+// scope, before the run.
+func (m *Manager) SetScope(sc obs.Scope) {
+	reg := sc.Metrics
 	if reg == nil {
 		return
 	}

@@ -2,9 +2,9 @@ package wal
 
 import "tracklog/internal/telemetry"
 
-// RegisterMetrics registers the log's append/flush counters and buffer
+// registerMetrics registers the log's append/flush counters and buffer
 // gauges on reg. A nil registry registers nothing.
-func (l *Log) RegisterMetrics(reg *telemetry.Registry) {
+func (l *Log) registerMetrics(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}

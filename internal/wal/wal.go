@@ -18,6 +18,7 @@ import (
 
 	"tracklog/internal/blockdev"
 	"tracklog/internal/geom"
+	"tracklog/internal/obs"
 	"tracklog/internal/sim"
 	"tracklog/internal/timeline"
 )
@@ -119,15 +120,18 @@ func New(env *sim.Env, cfg Config) (*Log, error) {
 // Stats returns a copy of the counters.
 func (l *Log) Stats() Stats { return l.stats }
 
-// SetTimeline attaches the log to a utilization-timeline aggregator under
-// the given track: the unflushed buffer as a time-weighted byte level, plus
-// per-bucket appends, group-commit flushes, and flushed sectors. A nil
-// aggregator disables all of it. Call once per aggregator, before the run.
-func (l *Log) SetTimeline(a *timeline.Aggregator, name string) {
+// SetScope attaches the log to sc's observers. The timeline gets, under
+// the given track, the unflushed buffer as a time-weighted byte level plus
+// per-bucket appends, group-commit flushes, and flushed sectors. The
+// registry gets the append/flush counters and buffer gauges. Call once per
+// scope, before the run.
+func (l *Log) SetScope(sc obs.Scope, name string) {
+	a := sc.Timeline
 	l.tlBuffered = a.Meter("wal", name, "buffered_bytes")
 	l.tlAppends = a.Mark("wal", name, "appends")
 	l.tlFlushes = a.Mark("wal", name, "flushes")
 	l.tlFlushedS = a.Mark("wal", name, "flushed_sectors")
+	l.registerMetrics(sc.Metrics)
 }
 
 // DurableLSN returns the byte offset up to which the log is durable.
