@@ -1,9 +1,10 @@
 // Command crashexplore exhaustively explores crash points in a simulated
 // storage stack. It enumerates every interesting event in a window — each
 // write acknowledgement, each media sector write, each write-back flight
-// boundary, each commit — replays the world up to that event, cuts power
-// there, runs the stack's recovery, and audits the durability contract:
-// every acknowledged write survives, untorn.
+// boundary, each commit — loads the state one forward run had at that event
+// into a freshly built stack, cuts power there, runs the stack's recovery,
+// and audits the durability contract: every acknowledged write survives,
+// untorn.
 //
 // Usage:
 //
@@ -33,7 +34,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "workload seed")
 	skip := flag.Int64("skip", 0, "first probe index to explore")
 	window := flag.Int64("window", 100, "number of probe indices to scan from -skip")
-	horizon := flag.Duration("horizon", crashexplore.DefaultHorizon, "virtual-time budget per branch")
+	horizon := flag.Duration("horizon", crashexplore.DefaultHorizon, "virtual-time length of the census run; candidate events lie within it")
 	kindsFlag := flag.String("kinds", "", "comma-separated probe kinds to branch on (default: all)")
 	faults := flag.String("faults", "", "fault scenario on the data disk (trail stack only), e.g. latent=2,timeout=2")
 	faultSeed := flag.Uint64("fault-seed", 1, "fault plan seed")

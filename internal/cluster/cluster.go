@@ -260,7 +260,7 @@ func (c *Cluster) provision(idx, gen int) (*Shard, error) {
 			fault.Attach(data, c.rng, fault.Config{FailAt: killAt})
 		}
 	}
-	sh := &Shard{idx: idx, gen: gen, log: log, data: data, drv: drv, dev: drv.Dev(0)}
+	sh := &Shard{idx: idx, gen: gen, name: fmt.Sprintf("shard%d", idx), log: log, data: data, drv: drv, dev: drv.Dev(0)}
 	if c.agg != nil {
 		c.observeShardDisks(sh)
 	}

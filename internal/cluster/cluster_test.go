@@ -49,6 +49,27 @@ func TestClusterWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRequestSpanFreeWithRecorderOff checks that with no span recorder
+// attached, opening a request's span allocates nothing: the shard's device
+// name is built once, not formatted per request.
+func TestRequestSpanFreeWithRecorderOff(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	c, err := New(env, Config{Shards: 4, Tenants: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []span.Kind{span.KWrite, span.KRead, span.KWriteback} {
+		for _, sh := range c.shards {
+			if n := testing.AllocsPerRun(100, func() {
+				c.requestSpan(kind, sh, 0, env.Now()).Finish(int64(env.Now()), false)
+			}); n != 0 {
+				t.Errorf("%v span on %s: %v allocations per request with the recorder off, want 0", kind, sh.name, n)
+			}
+		}
+	}
+}
+
 // killMix builds the canonical kill-one-shard world: 4 shards, shard 1
 // killed mid-run, a multi-tenant mix driving it.
 func killMix(t *testing.T, env *sim.Env, seed uint64) (*Cluster, []workload.MixRequest, time.Duration) {

@@ -53,8 +53,9 @@ func (s State) String() string {
 
 // Shard is one Trail world behind the router.
 type Shard struct {
-	idx int
-	gen int // hardware generation; bumped by each replacement
+	idx  int
+	gen  int    // hardware generation; bumped by each replacement
+	name string // "shard<idx>": span device and timeline lane name
 
 	log, data *disk.Disk
 	drv       *trail.Driver

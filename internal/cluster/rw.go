@@ -46,8 +46,7 @@ func (c *Cluster) Write(p *sim.Proc, tenant, block int, class blockdev.Class) er
 	payload := payloadFor(tenant, block, seq, c.cfg.WriteSize)
 
 	start := p.Now()
-	rq := c.rec.Start(span.KWrite, "cluster", fmt.Sprintf("shard%d", pl.Primary),
-		c.slotLBA(tenant, block, pl.Primary), c.spb, int64(start))
+	rq := c.requestSpan(span.KWrite, c.shards[pl.Primary], c.slotLBA(tenant, block, pl.Primary), start)
 
 	// Cluster-edge admission: while capacity is lost, Background traffic
 	// is shed before it touches any shard — the survivors' queues belong
@@ -198,8 +197,7 @@ func (c *Cluster) Read(p *sim.Proc, tenant, block int, class blockdev.Class) ([]
 	pl := c.place[tenant]
 	pri, rep := c.shards[pl.Primary], c.shards[pl.Replica]
 	start := p.Now()
-	rq := c.rec.Start(span.KRead, "cluster", fmt.Sprintf("shard%d", pl.Primary),
-		c.slotLBA(tenant, block, pl.Primary), c.spb, int64(start))
+	rq := c.requestSpan(span.KRead, pri, c.slotLBA(tenant, block, pl.Primary), start)
 
 	race := &readRace{done: sim.NewEvent(c.env)}
 

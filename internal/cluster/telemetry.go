@@ -15,6 +15,8 @@ import (
 	"strconv"
 
 	"tracklog/internal/obs"
+	"tracklog/internal/sim"
+	"tracklog/internal/span"
 	"tracklog/internal/telemetry"
 )
 
@@ -38,9 +40,15 @@ func (c *Cluster) SetScope(sc obs.Scope) {
 	c.tlRebuild = a.Mark("cluster", "router", "rebuild_copies")
 	c.tlShed = a.Mark("cluster", "router", "shed_writes")
 	for _, sh := range c.shards {
-		sh.lane = a.Lane("cluster", fmt.Sprintf("shard%d", sh.idx), stateNames[:])
+		sh.lane = a.Lane("cluster", sh.name, stateNames[:])
 		c.observeShardDisks(sh)
 	}
+}
+
+// requestSpan opens the span tree of one request routed to shard sh. Every
+// argument is precomputed, so with the recorder off it costs a nil check.
+func (c *Cluster) requestSpan(kind span.Kind, sh *Shard, lba int64, at sim.Time) *span.Req {
+	return c.rec.Start(kind, "cluster", sh.name, lba, c.spb, int64(at))
 }
 
 // observeShardDisks registers occupancy lanes for one shard generation's

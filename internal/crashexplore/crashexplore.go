@@ -1,18 +1,17 @@
-// Package crashexplore turns the seeded crash trial of internal/crashcheck
-// into an exhaustive explorer: instead of cutting power at one seed-dependent
-// instant, it enumerates every interesting event in a window — each
+// Package crashexplore checks the durability contract exhaustively: it
+// enumerates every interesting event in a window of a seeded run — each
 // acknowledgement, each media sector write, each write-back flight boundary,
-// each log-commit — branches a fresh deterministic world, cuts power exactly
-// at that event, runs recovery, and audits the durability contract on every
-// branch: an ACKNOWLEDGED write never comes back lost or torn.
+// each log commit — cuts power exactly at that event, runs recovery, and
+// audits every branch: an ACKNOWLEDGED write never comes back lost or torn.
 //
-// Worlds branch by deterministic replay: the simulation kernel numbers every
-// probe event globally (sim.EmitProbe), so re-running the same seeded
-// workload against a freshly built stack and pausing at probe index i
-// reproduces, bit for bit, the state the census run had at that event. A cut
-// is then env.Close() — in-flight processes die mid-write, and only platter
-// state (disk.Disk media) survives into recovery, exactly like the
-// single-instant harness.
+// Branches cost no replay. The simulation kernel numbers every probe event
+// globally (sim.Env.EmitProbe), and only platter state survives a cut: each
+// drive's media, arm position and fault-injector state. So the explorer runs
+// the seeded world once, logging every media write and, at each candidate
+// event, the drive states and the acknowledged versions. Each branch builds
+// a fresh stack, loads the log's state at its event into the new drives,
+// and cuts power (env.Close) before that world runs a single event;
+// recovery then reboots the stack from those drives.
 //
 // The minimal failing event index (Report.FirstFailing) is the bisection
 // handle: the earliest interesting event whose cut breaks recovery. Fixes are
@@ -21,7 +20,6 @@
 package crashexplore
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -43,7 +41,10 @@ type ReadFunc func(p *sim.Proc, slot int) (version int, consistent bool)
 // Recover are called once per branch, strictly in Build→Recover pairs: Build
 // must assemble a fresh stack (new drives, new driver) on the given
 // environment each call, and Recover reboots the stack most recently built —
-// the drives survive the cut; everything else is reconstructed.
+// the drives survive the cut; everything else is reconstructed. Every state
+// that survives the cut must live on drives built with disk.New on Build's
+// environment: a branch's world never runs, so the explorer seeds those
+// drives and nothing else.
 type Stack struct {
 	// Slots is the number of concurrent writers (each owns one slot).
 	Slots int
@@ -70,12 +71,11 @@ type Stack struct {
 	Observe func(sc obs.Scope)
 }
 
-// launchWorkload starts the harness's slot writers on env: one process per
-// slot, writing monotonically increasing versions with a seeded think time.
-// It returns the per-slot acknowledged-version array (updated as writes
-// return) and the legacy seed-dependent cut instant, drawn from the same
-// random stream in the same order as the original crashcheck harness — so a
-// single-branch time cut reproduces its trials exactly.
+// launchWorkload starts the slot writers on env: one process per slot,
+// writing monotonically increasing versions with a seeded think time. It
+// returns the per-slot acknowledged-version array (updated as writes
+// return) and the seed-dependent cut instant RunSingle uses, drawn from the
+// same random stream after the think times.
 func launchWorkload(env *sim.Env, seed uint64, slots int, write WriteFunc) (acked []int, cut time.Duration) {
 	acked = make([]int, slots)
 	rng := sim.NewRand(seed + 1000)
@@ -112,8 +112,8 @@ func (a SlotAudit) Lost() bool { return !a.Torn && a.Found < a.Acked }
 func (a SlotAudit) Failed() bool { return a.Torn || a.Lost() }
 
 // audit reads back every slot on the recovery environment and compares it
-// with the acknowledged state. It runs as one process named "audit", slot
-// order, like the original harness.
+// with the acknowledged state. It runs as one process named "audit", in slot
+// order.
 func audit(env *sim.Env, read ReadFunc, acked []int) []SlotAudit {
 	out := make([]SlotAudit, len(acked))
 	env.Go("audit", func(p *sim.Proc) {
@@ -142,10 +142,10 @@ func (r *SingleResult) Failed() bool {
 	return false
 }
 
-// RunSingle executes one seeded crash trial against the stack: the legacy
-// single-branch window. The workload shape, cut instant, recovery sequence,
-// and audit order reproduce the original crashcheck harness exactly; the
-// crashcheck package is now a thin wrapper over this function.
+// RunSingle executes one seeded crash trial against the stack: the workload
+// runs to a seed-dependent instant, power is cut there, and recovery and the
+// audit follow, with st.Post after them. Unlike the explorer it cuts at a
+// time rather than at an event, and it runs the world it cuts.
 func RunSingle(st Stack, seed uint64) (*SingleResult, error) {
 	env := sim.NewEnv()
 	write, err := st.Build(env)
@@ -171,10 +171,6 @@ func RunSingle(st Stack, seed uint64) (*SingleResult, error) {
 	}
 	return res, nil
 }
-
-// errEventNotReached reports a branch whose target probe index never fired
-// within the horizon — a determinism violation between census and branch.
-var errEventNotReached = errors.New("crashexplore: target event not reached in branch replay")
 
 // Payload builds a block payload whose every sector encodes (slot, version),
 // so mixing sectors from two versions is detectable on read-back.

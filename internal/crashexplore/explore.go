@@ -21,8 +21,8 @@ type Options struct {
 	// region — and bisect a failure by re-exploring around it.
 	Skip   int64
 	Window int64
-	// Horizon bounds each run in virtual time (census and branches alike).
-	// Zero defaults to 150ms, past the legacy harness's largest cut instant.
+	// Horizon bounds the census run in virtual time, and so the candidate
+	// events. Zero defaults to 150ms, past RunSingle's largest cut instant.
 	Horizon time.Duration
 	// Kinds restricts branching to these probe kinds (nil = branch on all).
 	// The census still records every kind for the report.
@@ -80,7 +80,7 @@ type Branch struct {
 	Lost      int         `json:"lost"`
 	Torn      int         `json:"torn"`
 	Failures  []SlotAudit `json:"failures,omitempty"` // only failing slots
-	Err       string      `json:"err,omitempty"`      // build/replay/recovery error
+	Err       string      `json:"err,omitempty"`      // build/seed/recovery error
 }
 
 // Failed reports whether the branch violates the durability contract or
@@ -127,6 +127,9 @@ type Explorer struct {
 	events  []EventInfo // branch candidates, ascending index
 	next    int         // position in events of the next branch
 	report  Report
+	// fwd is the forward pass the branches seed from, made on the first
+	// Step; it is derived state, rebuilt after a resume.
+	fwd *forward
 }
 
 // New returns an explorer over the stack. Call Run, or Plan followed by
@@ -156,18 +159,13 @@ func (x *Explorer) Plan() error {
 		return fmt.Errorf("crashexplore: census build: %w", err)
 	}
 	end := x.opts.Skip + x.opts.Window
-	env.SetProbeHook(func(ev sim.ProbeEvent) bool {
+	env.SetProbeHook(func(ev sim.ProbeEvent) {
 		if ev.Index < x.opts.Skip || (x.opts.Window > 0 && ev.Index >= end) {
-			return false
+			return
 		}
-		if !x.opts.wantKind(ev.Kind) {
-			return false
+		if x.opts.wantKind(ev.Kind) {
+			x.events = append(x.events, eventInfo(ev))
 		}
-		x.events = append(x.events, EventInfo{
-			Index: ev.Index, Kind: ev.Kind.String(), At: int64(ev.At),
-			Dev: ev.Dev, LBA: ev.LBA, Count: ev.Count,
-		})
-		return false
 	})
 	launchWorkload(env, x.opts.Seed, x.stack.Slots, write)
 	env.RunUntil(x.opts.horizon())
@@ -183,9 +181,10 @@ func (x *Explorer) Plan() error {
 	return nil
 }
 
-// Step explores the next branch: replay to its event, cut power there,
-// recover, audit. It returns the branch and whether any branches remain.
-// Step after the last branch returns (nil, false, nil).
+// Step explores the next branch: seed a freshly built stack with the state
+// the forward pass saw at its event, cut power there, recover, audit. The
+// first Step makes the forward pass. Step returns the branch and whether
+// any branches remain; after the last branch it returns (nil, false, nil).
 func (x *Explorer) Step() (*Branch, bool, error) {
 	if err := x.Plan(); err != nil {
 		return nil, false, err
@@ -193,9 +192,16 @@ func (x *Explorer) Step() (*Branch, bool, error) {
 	if x.next >= len(x.events) {
 		return nil, false, nil
 	}
+	if x.fwd == nil {
+		fwd, err := x.runForward()
+		if err != nil {
+			return nil, false, err
+		}
+		x.fwd = fwd
+	}
 	ev := x.events[x.next]
+	b := x.runBranch(x.next)
 	x.next++
-	b := x.runBranch(ev)
 	x.report.Branches = append(x.report.Branches, b)
 	x.report.Explored++
 	if b.Lost > 0 {
@@ -226,26 +232,21 @@ func (x *Explorer) Run() (*Report, error) {
 	}
 }
 
-// runBranch replays the seeded world from scratch, pauses it at the target
-// probe index, cuts power, and audits recovery.
-func (x *Explorer) runBranch(ev EventInfo) Branch {
-	b := Branch{Event: ev}
+// runBranch builds a fresh stack, loads the forward pass's state at the
+// branch's probe into its drives, cuts power, and audits recovery. The built
+// world never runs: only its drives matter to recovery.
+func (x *Explorer) runBranch(pos int) Branch {
+	b := Branch{Event: x.events[pos]}
 	env := sim.NewEnv()
-	write, err := x.stack.Build(env)
-	if err != nil {
+	if _, err := x.stack.Build(env); err != nil {
 		env.Close()
 		b.Err = fmt.Sprintf("build: %v", err)
 		return b
 	}
-	env.SetProbeHook(func(pe sim.ProbeEvent) bool {
-		return pe.Index == ev.Index
-	})
-	acked, _ := launchWorkload(env, x.opts.Seed, x.stack.Slots, write)
-	env.RunUntil(x.opts.horizon())
-	paused := env.Paused()
-	env.Close() // the power cut: every in-flight process dies here
-	if !paused {
-		b.Err = errEventNotReached.Error()
+	acked, err := x.fwd.seed(env, pos, b.Event.Index)
+	env.Close() // the power cut
+	if err != nil {
+		b.Err = err.Error()
 		return b
 	}
 

@@ -2,40 +2,42 @@ package crashexplore_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
 	"tracklog/internal/crashexplore"
+	"tracklog/internal/disk"
 	"tracklog/internal/sim"
 )
 
-// memStack is a synthetic two-slot stack over an in-memory "platter" (the
-// durable map survives the power cut, everything else dies). Each write
-// emits a media-write probe just before persisting and an ack probe just
-// after, so the probe schedule is exactly known — which makes the expected
-// minimal failing index of a broken recovery computable by hand.
-func memStack(durable map[int]int, broken bool) crashexplore.Stack {
+// memStack is a synthetic two-slot stack whose platter is one small drive,
+// written with no timing cost: the drive survives the power cut, everything
+// else dies. Each write emits a media-write probe just before persisting and
+// an ack probe just after, so the probe schedule is exactly known — which
+// makes the expected minimal failing index of a broken recovery computable
+// by hand.
+func memStack(broken bool) crashexplore.Stack {
+	var platter *disk.Disk
 	return crashexplore.Stack{
 		Slots: 2,
 		Build: func(env *sim.Env) (crashexplore.WriteFunc, error) {
-			for k := range durable {
-				delete(durable, k) // fresh world, blank platter
-			}
+			platter = disk.New(env, memberParams()) // fresh world, blank platter
 			return func(p *sim.Proc, slot, version int) error {
 				p.Sleep(200 * time.Microsecond)
-				env.EmitProbe(p, sim.ProbeMediaWrite, "mem", int64(slot), 1)
-				durable[slot] = version
-				env.EmitProbe(p, sim.ProbeAck, "mem", int64(slot), 1)
+				env.EmitProbe(sim.ProbeMediaWrite, "mem", int64(slot), 1)
+				platter.MediaWrite(int64(slot), crashexplore.Payload(slot, version, 1))
+				env.EmitProbe(sim.ProbeAck, "mem", int64(slot), 1)
 				return nil
 			}, nil
 		},
 		Recover: func(env2 *sim.Env) (crashexplore.ReadFunc, error) {
 			return func(p *sim.Proc, slot int) (int, bool) {
-				v := durable[slot]
+				v, ok := crashexplore.ParseVersion(platter.MediaRead(int64(slot), 1), slot, 1)
 				if broken && v > 0 {
-					return v - 1, true // recovery "loses" the newest version
+					return v - 1, ok // recovery "loses" the newest version
 				}
-				return v, true
+				return v, ok
 			}, nil
 		},
 	}
@@ -52,8 +54,7 @@ func memOptions() crashexplore.Options {
 // TestExploreMemStackHolds explores every branch of the healthy synthetic
 // stack: the durability contract must hold at every cut point.
 func TestExploreMemStackHolds(t *testing.T) {
-	durable := map[int]int{}
-	rep, err := crashexplore.New(memStack(durable, false), memOptions()).Run()
+	rep, err := crashexplore.New(memStack(false), memOptions()).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,8 +76,7 @@ func TestExploreMemStackHolds(t *testing.T) {
 // survives), and probe 2 — slot 1's media write, by which time slot 0's
 // write has been acknowledged — is the first cut the broken recovery loses.
 func TestBrokenRecoveryExactIndex(t *testing.T) {
-	durable := map[int]int{}
-	rep, err := crashexplore.New(memStack(durable, true), memOptions()).Run()
+	rep, err := crashexplore.New(memStack(true), memOptions()).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,8 +109,7 @@ func TestBrokenRecoveryExactIndex(t *testing.T) {
 // byte-identical reports.
 func TestExploreDeterminism(t *testing.T) {
 	render := func() []byte {
-		durable := map[int]int{}
-		rep, err := crashexplore.New(memStack(durable, false), memOptions()).Run()
+		rep, err := crashexplore.New(memStack(false), memOptions()).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,8 +130,7 @@ func TestExploreDeterminism(t *testing.T) {
 // report to be byte-identical to a straight-through exploration.
 func TestExploreSnapshotResume(t *testing.T) {
 	straight := func() []byte {
-		durable := map[int]int{}
-		rep, err := crashexplore.New(memStack(durable, false), memOptions()).Run()
+		rep, err := crashexplore.New(memStack(false), memOptions()).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,8 +141,7 @@ func TestExploreSnapshotResume(t *testing.T) {
 		return buf.Bytes()
 	}()
 
-	durable := map[int]int{}
-	x := crashexplore.New(memStack(durable, false), memOptions())
+	x := crashexplore.New(memStack(false), memOptions())
 	for i := 0; i < 5; i++ {
 		if _, more, err := x.Step(); err != nil || !more {
 			t.Fatalf("step %d: more=%v err=%v", i, more, err)
@@ -152,8 +149,7 @@ func TestExploreSnapshotResume(t *testing.T) {
 	}
 	snap := x.Snapshot()
 
-	durable2 := map[int]int{}
-	y, err := crashexplore.NewFromSnapshot(memStack(durable2, false), snap)
+	y, err := crashexplore.NewFromSnapshot(memStack(false), snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,8 +172,7 @@ func TestExploreSnapshotResume(t *testing.T) {
 // TestExplorerSnapshotRejectsGarbage checks the resume path surfaces codec
 // sentinels instead of panicking.
 func TestExplorerSnapshotRejectsGarbage(t *testing.T) {
-	durable := map[int]int{}
-	st := memStack(durable, false)
+	st := memStack(false)
 	if _, err := crashexplore.NewFromSnapshot(st, []byte("not a snapshot")); err == nil {
 		t.Fatal("garbage accepted")
 	}
@@ -206,10 +201,9 @@ func TestParseKind(t *testing.T) {
 
 // TestKindsFilter restricts branching to acks only.
 func TestKindsFilter(t *testing.T) {
-	durable := map[int]int{}
 	opts := memOptions()
 	opts.Kinds = []sim.ProbeKind{sim.ProbeAck}
-	rep, err := crashexplore.New(memStack(durable, false), opts).Run()
+	rep, err := crashexplore.New(memStack(false), opts).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,5 +214,51 @@ func TestKindsFilter(t *testing.T) {
 		if b.Event.Kind != "ack" {
 			t.Fatalf("branch on kind %q with ack-only filter", b.Event.Kind)
 		}
+	}
+}
+
+// TestForwardPassDisagreementFailsBranches builds a stack whose probe
+// stream depends on how often it was built, so the forward pass (the second
+// Build) disagrees with the census (the first): by the device it names, or
+// by running late and never reaching the census's probes within the
+// census's time. Every branch from the disagreement on must fail with an
+// error instead of seeding from a stream it cannot trust.
+func TestForwardPassDisagreementFailsBranches(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		delay time.Duration // extra think time in the forward pass
+		dev   string        // device the forward pass names
+		want  string
+	}{
+		{"device", 0, "other", "forward pass probe 0 is"},
+		{"late", 30 * time.Millisecond, "mem", "forward pass ended before probe 0"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			builds := 0
+			st := memStack(false)
+			st.Build = func(env *sim.Env) (crashexplore.WriteFunc, error) {
+				builds++
+				delay, dev := time.Duration(0), "mem"
+				if builds == 2 {
+					delay, dev = c.delay, c.dev
+				}
+				return func(p *sim.Proc, slot, version int) error {
+					p.Sleep(200*time.Microsecond + delay)
+					env.EmitProbe(sim.ProbeAck, dev, int64(slot), 1)
+					return nil
+				}, nil
+			}
+			rep, err := crashexplore.New(st, memOptions()).Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.ErrorBranches != rep.Explored || rep.Explored == 0 || rep.FirstFailing != 0 {
+				t.Fatalf("%d of %d branches failed with an error, first failing %d; want all, from 0",
+					rep.ErrorBranches, rep.Explored, rep.FirstFailing)
+			}
+			if got := rep.Branches[0].Err; !strings.HasPrefix(got, c.want) {
+				t.Fatalf("branch error %q, want prefix %q", got, c.want)
+			}
+		})
 	}
 }

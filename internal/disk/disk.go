@@ -267,6 +267,12 @@ type Disk struct {
 	media map[int64][]byte
 	stats Stats
 	inj   Injector
+	// cow makes every sector write land in a fresh buffer instead of in
+	// place, so buffers shared outside the drive are never modified (see
+	// SetWriteHook and AttachSector).
+	cow bool
+	// onWrite, when non-nil, sees every sector write (SetWriteHook).
+	onWrite func(lba int64, sector []byte)
 
 	// tr, when non-nil, receives per-phase service-time events; trName is
 	// the trace track this drive reports under.
@@ -318,6 +324,7 @@ func New(env *sim.Env, params Params) *Disk {
 		media:     make(map[int64][]byte),
 	}
 	d.fitSeekCurve()
+	env.AttachDevice(d)
 	return d
 }
 
@@ -384,6 +391,32 @@ func (d *Disk) Reattach(env *sim.Env) {
 	d.env = env
 	d.arm = sim.NewResource(env, 1)
 	d.lastCmdEnd = 0
+}
+
+// Arm returns the cylinder and head the arm rests on. With the media and
+// the injector, it is the drive state a power cut leaves behind.
+func (d *Disk) Arm() (cyl, head int) { return d.armCyl, d.armHead }
+
+// SetArm moves the arm to cyl and head with no timing cost. Crash
+// exploration uses it to give a freshly built drive the arm position of a
+// cut run.
+func (d *Disk) SetArm(cyl, head int) { d.armCyl, d.armHead = cyl, head }
+
+// SetWriteHook attaches a hook that sees every sector written to the media
+// from then on, through Access or MediaWrite, right after the sector lands.
+// It also makes the drive copy-on-write for good, so the hook may keep the
+// buffer it is handed: the drive never modifies it again.
+func (d *Disk) SetWriteHook(h func(lba int64, sector []byte)) {
+	d.onWrite = h
+	d.cow = true
+}
+
+// AttachSector puts sector on the media at lba by reference, with no
+// timing cost, and makes the drive copy-on-write for good: the drive never
+// modifies the caller's buffer, so many drives may share it.
+func (d *Disk) AttachSector(lba int64, sector []byte) {
+	d.cow = true
+	d.media[lba] = sector
 }
 
 // fitSeekCurve solves t(d) = a + b*sqrt(d) + c*d through the three calibration
@@ -614,7 +647,7 @@ func (d *Disk) Access(p *sim.Proc, req *Request) Result {
 				}
 				// One sector is now on the platter: an interesting event for
 				// crash exploration (a cut here tears the transfer).
-				d.env.EmitProbe(p, sim.ProbeMediaWrite, d.params.Name, cur, 1)
+				d.env.EmitProbe(sim.ProbeMediaWrite, d.params.Name, cur, 1)
 			} else {
 				d.readSector(cur, buf[off:off+geom.SectorSize])
 			}
@@ -676,11 +709,14 @@ func (d *Disk) accumulate(req *Request, res Result) {
 
 func (d *Disk) writeSector(lba int64, data []byte) {
 	s, ok := d.media[lba]
-	if !ok {
+	if !ok || d.cow {
 		s = make([]byte, geom.SectorSize)
 		d.media[lba] = s
 	}
 	copy(s, data)
+	if d.onWrite != nil {
+		d.onWrite(lba, s)
+	}
 }
 
 func (d *Disk) readSector(lba int64, into []byte) {

@@ -416,3 +416,43 @@ func TestOneSectorWriteLatencyMatchesPaper(t *testing.T) {
 		t.Errorf("well-predicted 2-sector write = %v, want ~1.4ms (paper §5.1)", lat)
 	}
 }
+
+// TestSharedSectorsStayImmutable checks the copy-on-write contract crash
+// exploration relies on: buffers handed to a write hook and buffers attached
+// by reference are never modified by later writes, and New attaches every
+// drive to its environment.
+func TestSharedSectorsStayImmutable(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	d := New(env, smallParams())
+	if devs := env.Devices(); len(devs) != 1 || devs[0] != d {
+		t.Fatalf("env devices = %v, want the new drive", devs)
+	}
+	fill := func(b byte) []byte { return bytes.Repeat([]byte{b}, geom.SectorSize) }
+
+	var hooked [][]byte
+	d.SetWriteHook(func(lba int64, sector []byte) { hooked = append(hooked, sector) })
+	runOne(t, d, env, func(p *sim.Proc) {
+		for _, b := range []byte{1, 2} {
+			if res := d.Access(p, &Request{Write: true, LBA: 7, Count: 1, Data: fill(b)}); res.Err != nil {
+				t.Fatal(res.Err)
+			}
+		}
+	})
+	if len(hooked) != 2 || !bytes.Equal(hooked[0], fill(1)) || !bytes.Equal(hooked[1], fill(2)) {
+		t.Fatalf("hook saw %d writes; the first was overwritten in place", len(hooked))
+	}
+
+	env2 := sim.NewEnv()
+	defer env2.Close()
+	d2 := New(env2, smallParams())
+	shared := fill(3)
+	d2.AttachSector(9, shared)
+	if !bytes.Equal(d2.MediaRead(9, 1), shared) {
+		t.Fatal("attached sector not on the media")
+	}
+	d2.MediaWrite(9, fill(4))
+	if !bytes.Equal(shared, fill(3)) || !bytes.Equal(d2.MediaRead(9, 1), fill(4)) {
+		t.Fatal("overwrite of an attached sector wrote into the shared buffer")
+	}
+}

@@ -715,9 +715,9 @@ func (prog *Program) recordCall(fi *FuncInfo, call *ast.CallExpr) {
 		}
 	}
 
-	if id == emitProbeID && len(call.Args) >= 2 {
+	if id == emitProbeID && len(call.Args) >= 1 {
 		kind := "?"
-		switch arg := ast.Unparen(call.Args[1]).(type) {
+		switch arg := ast.Unparen(call.Args[0]).(type) {
 		case *ast.SelectorExpr:
 			if c, ok := info.Uses[arg.Sel].(*types.Const); ok {
 				kind = c.Name()

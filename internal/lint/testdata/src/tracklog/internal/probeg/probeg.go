@@ -47,7 +47,7 @@ func (d *AckDev) Write(p *sim.Proc, lba int64, count int, data []byte) error {
 
 // complete is the helper hop: an intraprocedural look at Write sees no probe.
 func (d *AckDev) complete(p *sim.Proc, lba int64, count int) {
-	d.env.EmitProbe(p, sim.ProbeAck, d.id.String(), lba, count)
+	d.env.EmitProbe(sim.ProbeAck, d.id.String(), lba, count)
 }
 
 // RelayDev forwards to a wrapped AckDev; its closure reaches the wrapped
@@ -88,11 +88,11 @@ func (l *CommitLog) Flush(p *sim.Proc) error {
 }
 
 func (l *CommitLog) mark(p *sim.Proc) {
-	l.env.EmitProbe(p, sim.ProbeCommit, "log", 0, 0)
+	l.env.EmitProbe(sim.ProbeCommit, "log", 0, 0)
 }
 
 // flight opens and closes a write-back in the same package: paired, clean.
 func flight(env *sim.Env, p *sim.Proc) {
-	env.EmitProbe(p, sim.ProbeWBStart, "data0", 0, 8)
-	env.EmitProbe(p, sim.ProbeWBEnd, "data0", 0, 8)
+	env.EmitProbe(sim.ProbeWBStart, "data0", 0, 8)
+	env.EmitProbe(sim.ProbeWBEnd, "data0", 0, 8)
 }

@@ -6,5 +6,5 @@ package wbflight
 import "tracklog/internal/sim"
 
 func submit(env *sim.Env, p *sim.Proc) {
-	env.EmitProbe(p, sim.ProbeWBStart, "data0", 0, 8) // want `package emits sim\.ProbeWBStart but never sim\.ProbeWBEnd`
+	env.EmitProbe(sim.ProbeWBStart, "data0", 0, 8) // want `package emits sim\.ProbeWBStart but never sim\.ProbeWBEnd`
 }

@@ -578,7 +578,7 @@ func (a *Array) WriteOpts(p *sim.Proc, lba int64, count int, data []byte, opts b
 	rq.Finish(int64(p.Now()), false)
 	// Data and parity are on the members and the write is about to be
 	// acknowledged to the client: a crash-exploration interesting event.
-	p.Env().EmitProbe(p, sim.ProbeAck, "raid", ackLBA, ackCount)
+	p.Env().EmitProbe(sim.ProbeAck, "raid", ackLBA, ackCount)
 	return nil
 }
 

@@ -16,8 +16,8 @@ const (
 // Snapshot encodes the kernel's scheduler state: clock, sequence counters,
 // the pending event queue in (at, seq) order, and the process table in id
 // order. Goroutine stacks cannot be serialized, so a kernel is restored by
-// deterministic replay — rebuild the world from its builder, run to the same
-// probe index — and this snapshot is the fingerprint that proves the replay
+// deterministic replay — rebuild the world from its builder, run it to the
+// same instant — and this snapshot is the fingerprint that proves the replay
 // converged: Restore verifies byte equality against the replayed kernel
 // rather than adopting state.
 func (e *Env) Snapshot() []byte {

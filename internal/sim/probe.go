@@ -7,12 +7,6 @@ package sim
 // a hook is attached, so event N in a hooked run is the same instant as event
 // N in an unhooked run — the property the crash explorer's bisection relies
 // on.
-//
-// A hook may pause the world at a probe by returning true. Pausing parks the
-// emitting process *in place*, without scheduling any event: the next
-// RunUntil resumes that process first, before popping the queue, so a
-// paused-and-resumed run pops events in exactly the order of a never-paused
-// run and stays byte-identical to it.
 
 // ProbeKind classifies an interesting event.
 type ProbeKind uint8
@@ -63,9 +57,9 @@ type ProbeEvent struct {
 	Count int
 }
 
-// ProbeHook observes probe events; returning true pauses the world at the
-// event (see Env.RunUntil). Hooks must not touch the clock or the queue.
-type ProbeHook func(ev ProbeEvent) (pause bool)
+// ProbeHook observes probe events. It runs on the emitting process, at the
+// instant of the event; hooks must not touch the clock or the queue.
+type ProbeHook func(ev ProbeEvent)
 
 // SetProbeHook attaches (or with nil, detaches) the probe hook.
 func (e *Env) SetProbeHook(h ProbeHook) { e.probeHook = h }
@@ -74,37 +68,12 @@ func (e *Env) SetProbeHook(h ProbeHook) { e.probeHook = h }
 // whether or not a hook is attached.
 func (e *Env) ProbeCount() int64 { return e.probeSeq }
 
-// Paused reports whether the world is paused at a probe event; RunUntil
-// resumes it.
-func (e *Env) Paused() bool { return e.pausedProc != nil }
-
-// EmitProbe records one interesting event from the running process p. The
-// probe index advances unconditionally; if a hook is attached and asks to
-// pause, p parks in place and RunUntil returns to its caller.
-func (e *Env) EmitProbe(p *Proc, kind ProbeKind, dev string, lba int64, count int) {
+// EmitProbe records one interesting event from the running process. The
+// probe index advances unconditionally; an attached hook sees the event.
+func (e *Env) EmitProbe(kind ProbeKind, dev string, lba int64, count int) {
 	idx := e.probeSeq
 	e.probeSeq++
-	if e.probeHook == nil {
-		return
+	if e.probeHook != nil {
+		e.probeHook(ProbeEvent{Index: idx, Kind: kind, At: e.now, Dev: dev, LBA: lba, Count: count})
 	}
-	if e.probeHook(ProbeEvent{Index: idx, Kind: kind, At: e.now, Dev: dev, LBA: lba, Count: count}) {
-		p.pauseHere()
-	}
-}
-
-// pauseHere parks the running process without scheduling a wakeup; the
-// kernel resumes it at the head of the next RunUntil.
-func (p *Proc) pauseHere() {
-	e := p.env
-	if e.cur != p {
-		panic("sim: probe pause from outside the running process")
-	}
-	e.pausedProc = p
-	p.state = procParked
-	e.parked <- struct{}{}
-	<-p.resume
-	if p.killed {
-		panic(killedPanic{p: p})
-	}
-	p.state = procRunning
 }

@@ -92,11 +92,10 @@ type Env struct {
 	// hooked and unhooked runs.
 	probeSeq  int64
 	probeHook ProbeHook
-	// pausedProc, when non-nil, is a process parked in place by a probe
-	// hook; RunUntil resumes it before popping the queue, which keeps a
-	// paused-and-resumed run byte-identical to a never-paused one.
-	//lint:allow snapshotguard pausedProc is nil outside a probe-hook pause; snapshots are taken from the hook, where the pause is the caller's own frame
-	pausedProc *Proc
+
+	// devices are the components built on this environment whose state
+	// outlives a power cut of it (see AttachDevice).
+	devices []any
 
 	// tracer, when non-nil, observes process scheduling (see SetScope).
 	// Hooks never touch the clock or the queue, so a traced run is
@@ -130,6 +129,15 @@ func NewEnv() *Env {
 
 // Now returns the current virtual time.
 func (e *Env) Now() Time { return e.now }
+
+// AttachDevice registers dev, a component built on this environment whose
+// state outlives a power cut of it: disk.New attaches every drive it builds.
+// Crash exploration reaches a built stack's drives through Devices without
+// the stack naming them.
+func (e *Env) AttachDevice(dev any) { e.devices = append(e.devices, dev) }
+
+// Devices returns the attached devices in attach order.
+func (e *Env) Devices() []any { return e.devices }
 
 // Go spawns a new simulated process named name. The process starts when the
 // kernel next reaches the current virtual time in its queue (i.e. after the
@@ -251,21 +259,6 @@ func (e *Env) RunUntil(deadline Time) Time {
 	if e.closed {
 		panic("sim: RunUntil on closed Env")
 	}
-	// A process paused at a probe resumes first, ahead of every queued
-	// event: pausing queued nothing, so the pop order from here on matches a
-	// never-paused run exactly.
-	if p := e.pausedProc; p != nil {
-		e.pausedProc = nil
-		e.step(p)
-		if e.kernelPanic != nil {
-			kp := e.kernelPanic
-			e.kernelPanic = nil
-			panic(kp)
-		}
-		if e.pausedProc != nil {
-			return e.now
-		}
-	}
 	for len(e.queue) > 0 && e.liveQueued > 0 {
 		if e.queue[0].at > deadline {
 			e.now = deadline
@@ -289,9 +282,6 @@ func (e *Env) RunUntil(deadline Time) Time {
 			e.kernelPanic = nil
 			panic(p)
 		}
-		if e.pausedProc != nil {
-			return e.now
-		}
 	}
 	return e.now
 }
@@ -314,7 +304,6 @@ func (e *Env) Close() {
 		return
 	}
 	e.closed = true
-	e.pausedProc = nil // a probe-paused proc is parked; the loop kills it
 	for _, p := range e.procs {
 		if p.state == procParked || p.state == procReady {
 			p.killed = true

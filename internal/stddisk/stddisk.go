@@ -208,7 +208,7 @@ func (d *Device) WriteOpts(p *sim.Proc, lba int64, count int, data []byte, opts 
 	if err == nil {
 		// The in-place write is durable and about to be acknowledged to the
 		// client: a crash-exploration interesting event.
-		p.Env().EmitProbe(p, sim.ProbeAck, d.id.String(), lba, count)
+		p.Env().EmitProbe(sim.ProbeAck, d.id.String(), lba, count)
 	}
 	return err
 }

@@ -1250,7 +1250,7 @@ func (d *Driver) writeRecord(p *sim.Proc, ld *logDisk, target int, batch []*pend
 		d.stage(pw, rec)
 		// The client write is about to be acknowledged as durable: the
 		// central interesting event for crash exploration.
-		d.env.EmitProbe(p, sim.ProbeAck, d.probeNames[pw.devIdx], pw.lba, pw.count)
+		d.env.EmitProbe(sim.ProbeAck, d.probeNames[pw.devIdx], pw.lba, pw.count)
 		pw.done.Trigger()
 	}
 	return true

@@ -168,7 +168,7 @@ func (d *Driver) writebackLoop(p *sim.Proc, devIdx int) {
 			d.tlFlights.Add(1, int64(p.Now()))
 			// A write-back flight has left staging for the data disk's
 			// scheduler: a crash-exploration flight boundary.
-			d.env.EmitProbe(p, sim.ProbeWBStart, d.probeNames[devIdx], key.lba, e.count)
+			d.env.EmitProbe(sim.ProbeWBStart, d.probeNames[devIdx], key.lba, e.count)
 			flights = append(flights, f)
 		}
 		if len(flights) > 0 {
@@ -219,7 +219,7 @@ func (d *Driver) writebackLoop(p *sim.Proc, devIdx int) {
 			d.tlWriteBacks.Inc(int64(p.Now()))
 			// The flight's data is on the data disk; its log records are
 			// about to be credited: the closing flight boundary.
-			d.env.EmitProbe(p, sim.ProbeWBEnd, d.probeNames[devIdx], f.key.lba, f.req.Count)
+			d.env.EmitProbe(sim.ProbeWBEnd, d.probeNames[devIdx], f.key.lba, f.req.Count)
 			for _, ref := range f.refs {
 				d.commitRef(ref)
 			}

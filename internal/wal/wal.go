@@ -252,7 +252,7 @@ func (l *Log) Flush(p *sim.Proc) error {
 		l.flushedTo = flushLSN
 		// The flushed records are durable and commits through flushLSN are
 		// about to be acknowledged: a crash-exploration interesting event.
-		p.Env().EmitProbe(p, sim.ProbeCommit, "wal", flushLSN, int(sectors))
+		p.Env().EmitProbe(sim.ProbeCommit, "wal", flushLSN, int(sectors))
 	}
 	l.flushDone.Broadcast()
 	return err
