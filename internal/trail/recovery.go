@@ -202,23 +202,23 @@ type loadedRecord struct {
 	data []byte
 }
 
-// readTrackSalvage reads one full track, salvaging around unreadable
-// sectors: transient faults are retried (bounded), and a media-error sector
-// is skipped, leaving zeroes in its place — zero bytes can never decode as a
-// record header, and any record image spanning the hole fails its CRC, so
-// the scan treats the damage as torn space rather than aborting recovery.
-func readTrackSalvage(p *sim.Proc, log *disk.Disk, base int64, spt int, rep *RecoverReport) ([]byte, error) {
-	out := make([]byte, spt*geom.SectorSize)
+// readTrackSalvage reads the full track starting at base into out, which
+// holds exactly one track, salvaging around unreadable sectors: transient
+// faults are retried (bounded), and a media-error sector is skipped,
+// leaving zeroes in its place — zero bytes can never decode as a record
+// header, and any record image spanning the hole fails its CRC, so the scan
+// treats the damage as torn space rather than aborting recovery.
+func readTrackSalvage(p *sim.Proc, log *disk.Disk, base int64, out []byte, rep *RecoverReport) error {
+	clear(out)
 	lba := base
-	end := base + int64(spt)
+	end := base + int64(len(out)/geom.SectorSize)
 	retries := 0
 	for lba < end {
-		req := disk.Request{LBA: lba, Count: int(end - lba)}
+		// The drive fills the transferred sectors of out in place; an
+		// unreadable sector and everything after it stay untouched.
+		req := disk.Request{LBA: lba, Count: int(end - lba), Data: out[(lba-base)*geom.SectorSize:]}
 		res := log.Access(p, &req)
-		if res.Transferred > 0 {
-			copy(out[(lba-base)*geom.SectorSize:], req.Data[:res.Transferred*geom.SectorSize])
-			lba += int64(res.Transferred)
-		}
+		lba += int64(res.Transferred)
 		switch {
 		case res.Err == nil:
 			// Full extent transferred; the loop condition ends the scan.
@@ -229,10 +229,10 @@ func readTrackSalvage(p *sim.Proc, log *disk.Disk, base int64, spt int, rep *Rec
 			rep.MediaErrorSectors++
 			lba++ // leave the unreadable sector zeroed and move on
 		default:
-			return nil, fmt.Errorf("trail: recovery read at lba %d: %w", lba, res.Err)
+			return fmt.Errorf("trail: recovery read at lba %d: %w", lba, res.Err)
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // trackScan is the result of scanning one track for records of an epoch.
@@ -251,14 +251,18 @@ type trackScan struct {
 }
 
 // scanTrack reads one full track and reports the records of the target epoch
-// found on it.
-func scanTrack(p *sim.Proc, log *disk.Disk, g *geom.Geometry, track int, epoch uint32, rep *RecoverReport) (trackScan, error) {
+// found on it. It reads into *buf, growing it as needed; the records it
+// returns do not alias it.
+func scanTrack(p *sim.Proc, log *disk.Disk, g *geom.Geometry, track int, epoch uint32, buf *[]byte, rep *RecoverReport) (trackScan, error) {
 	cyl, head := g.TrackOf(track)
 	spt := g.SPTAt(cyl)
 	base := g.TrackStartLBA(cyl, head)
 	var ts trackScan
-	img, err := readTrackSalvage(p, log, base, spt, rep)
-	if err != nil {
+	if cap(*buf) < spt*geom.SectorSize {
+		*buf = make([]byte, spt*geom.SectorSize)
+	}
+	img := (*buf)[:spt*geom.SectorSize]
+	if err := readTrackSalvage(p, log, base, img, rep); err != nil {
 		return ts, err
 	}
 
@@ -278,6 +282,9 @@ func scanTrack(p *sim.Proc, log *disk.Disk, g *geom.Geometry, track int, epoch u
 		if !ts.any || hdr.Seq > ts.maxSeq {
 			ts.any, ts.maxSeq = true, hdr.Seq
 		}
+		if ts.best != nil && hdr.Seq <= ts.best.hdr.Seq {
+			continue // an older record cannot be the track's best
+		}
 		rec := img[s*geom.SectorSize : end*geom.SectorSize]
 		imgCopy := make([]byte, len(rec))
 		copy(imgCopy, rec)
@@ -285,9 +292,7 @@ func scanTrack(p *sim.Proc, log *disk.Disk, g *geom.Geometry, track int, epoch u
 		if err != nil {
 			continue // torn record
 		}
-		if ts.best == nil || hdr.Seq > ts.best.hdr.Seq {
-			ts.best = &loadedRecord{hdr: hdr, data: data}
-		}
+		ts.best = &loadedRecord{hdr: hdr, data: data}
 	}
 	return ts, nil
 }
@@ -299,9 +304,10 @@ func scanTrack(p *sim.Proc, log *disk.Disk, g *geom.Geometry, track int, epoch u
 // O(lg N) track scans (§3.3, first optimization). If the structure is not a
 // clean prefix (e.g. the log wrapped), it falls back to a sequential scan.
 func locateYoungest(p *sim.Proc, log *disk.Disk, g *geom.Geometry, usable []int, epoch uint32, sequential bool, rep *RecoverReport) (*loadedRecord, error) {
+	var buf []byte // one track image, reused by every scan
 	scan := func(i int) (trackScan, error) {
 		rep.TracksScanned++
-		return scanTrack(p, log, g, usable[i], epoch, rep)
+		return scanTrack(p, log, g, usable[i], epoch, &buf, rep)
 	}
 	if sequential {
 		// The unoptimized baseline: scan every track (no assumptions
@@ -411,10 +417,8 @@ func loadRecord(p *sim.Proc, log *disk.Disk, headerLBA int64, epoch uint32, cach
 	track := g.TrackIndex(a.Cyl, a.Head)
 	img, ok := cache[track]
 	if !ok {
-		spt := g.SPTAt(a.Cyl)
-		var err error
-		img, err = readTrackSalvage(p, log, g.TrackStartLBA(a.Cyl, a.Head), spt, rep)
-		if err != nil {
+		img = make([]byte, g.SPTAt(a.Cyl)*geom.SectorSize)
+		if err := readTrackSalvage(p, log, g.TrackStartLBA(a.Cyl, a.Head), img, rep); err != nil {
 			return nil, err
 		}
 		cache[track] = img
